@@ -55,6 +55,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {n}")
+        return n
+
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="minface",
                 description="Timelike minimal surfaces in Lorentz-Minkowski "
@@ -67,14 +84,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sample", help="triangulate a surface to OBJ")
     add_spec(sp)
-    sp.add_argument("--nu", type=int, default=64)
-    sp.add_argument("--nv", type=int, default=64)
+    sp.add_argument("--nu", type=_int_at_least(2), default=64)
+    sp.add_argument("--nv", type=_int_at_least(2), default=64)
     sp.add_argument("--out", required=True, help="output OBJ path")
     sp.add_argument("--fields", help="also write per-vertex scalars (CSV)")
 
     sp = sub.add_parser("singular", help="trace and classify the singular set")
     add_spec(sp)
-    sp.add_argument("--grid", type=int, default=256)
+    sp.add_argument("--grid", type=_int_at_least(16), default=256)
     sp.add_argument("--out", required=True, help="output CSV path")
 
     sp = sub.add_parser("classify", help="classify one singular point")

@@ -30,9 +30,13 @@ from .errors import (DegenerateAtPoint, DegenerateOnInterval, FlatPoint,
 from .jets import Jet3
 from .lorentz import det3, enorm, mdot, vec3
 from .quadrature import adaptive_quad
-from .surface import Surface, SurfaceJet, as_pair, get_data, jets_at
+from .surface import (REGULAR_TOL, Surface, SurfaceJet, as_pair, get_data,
+                      jets_at)
 
 FD_STEP = 1e-3
+# A curve counts as degenerate (flat) where its acceleration pseudo-norm is at
+# most this share of the squared local jet size.
+FLAT_TOL = 1e-9
 
 # A "curve" below is a callable t -> (Jet3, Jet3, Jet3): the velocity jets of
 # a null curve, so value/d1/d2 of the components are gamma'/gamma''/gamma'''.
@@ -63,7 +67,7 @@ def _require_regular(surface: Surface, u: float, v: float) -> float:
     vel_v = pair.psi_prime_value(v)
     lam = 0.25 * mdot(vel_u, vel_v)
     scale = enorm(vel_u) * enorm(vel_v)
-    if abs(lam) <= 1e-13 * max(scale, 1e-300):
+    if abs(lam) <= REGULAR_TOL * max(scale, 1e-300):
         raise SingularPoint(f"({u!r}, {v!r}) lies on the singular set")
     return lam
 
@@ -79,7 +83,8 @@ def _lambda_value(surface: Surface, u: float, v: float) -> float:
 def gaussian_curvature_extrinsic(j: SurfaceJet) -> float:
     """K = -Q R / Lambda^2 from an already-computed surface jet."""
     scale = enorm(j.f_u) * enorm(j.f_v)
-    if j.Q is None or j.R is None or abs(j.Lambda) <= 1e-13 * max(scale, 1e-300):
+    if (j.Q is None or j.R is None
+            or abs(j.Lambda) <= REGULAR_TOL * max(scale, 1e-300)):
         raise SingularPoint(f"({j.u!r}, {j.v!r}) lies on the singular set")
     return -j.Q * j.R / j.Lambda ** 2
 
@@ -176,7 +181,7 @@ class FlatClassification:
 
 
 def flat_classify(p: Surface, u: float, v: float,
-                  tol: float = 1e-9) -> FlatClassification:
+                  tol: float = FLAT_TOL) -> FlatClassification:
     """Classify (u, v) as Umbilic / QuasiUmbilic / NonFlat.
 
     The squares are compared against tol scaled by the local jet magnitude.

@@ -1,7 +1,8 @@
 """Vector helpers for Lorentz-Minkowski 3-space L^3.
 
 Points are numpy arrays (x0, x1, x2) with the scalar product
-<a, b> = -a0*b0 + a1*b1 + a2*b2 (signature -, +, +).
+<a, b> = -a0*b0 + a1*b1 + a2*b2 (signature -, +, +). ``mdot`` and ``enorm``
+also take stacks of vectors (a trailing axis of size 3) and broadcast.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ def vec3(x0, x1, x2) -> np.ndarray:
     return np.array([float(x0), float(x1), float(x2)])
 
 
-def mdot(a, b) -> float:
-    """Minkowski scalar product."""
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+def mdot(a, b):
+    """Minkowski scalar product; a float for two 3-vectors, else an array."""
+    if getattr(a, "ndim", 1) == 1 == getattr(b, "ndim", 1):
+        return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    return -a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def mcross(a, b) -> np.ndarray:
@@ -31,8 +34,12 @@ def edot(a, b) -> float:
     return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
 
 
-def enorm(a) -> float:
-    return float(np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]))
+def enorm(a):
+    """Euclidean length; a float for a 3-vector, else an array."""
+    if getattr(a, "ndim", 1) == 1:
+        return float(np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]))
+    return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
+                   + a[..., 2] * a[..., 2])
 
 
 def det3(a, b, c) -> float:

@@ -3,20 +3,21 @@
 The mesh is a plain triangulated regular grid over the parameter rectangle.
 Scalar fields (curvature, signed area density, flat tag, proximity to the
 singular set) ride along with each vertex so exports need no recomputation.
+Every field is built from one-variable functions of u and of v, so each
+generating curve is evaluated once per grid axis and the vertex fields are
+numpy broadcasts of those axis samples.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import flat_classify, gaussian_curvature
-from .errors import SingularNeighborhood, SingularPoint
-from .lorentz import mdot
-from .surface import Surface, as_pair, get_data
+from .curvature import FLAT_TOL
+from .lorentz import METRIC, enorm, mdot
+from .surface import REGULAR_TOL, Surface, as_pair, get_data
 
 # A vertex counts as singular (its K cell is left absent) when the proximity
 # proxy |g1 g2 - 1| falls below this.
@@ -56,16 +57,61 @@ class SurfaceMesh:
                 for i in range(len(self.positions))]
 
 
+def _axis_jets(curve, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """Velocity and acceleration of a null curve at each t, as (n, 3) arrays."""
+    jets = [curve(t) for t in ts]
+    return (np.array([[c.value for c in j] for j in jets]),
+            np.array([[c.d1 for c in j] for j in jets]))
+
+
+def _data_axis(g_jet, w_jet, ts):
+    """g, g' and w of one side of the Weierstrass data at each t."""
+    gs = [g_jet(t) for t in ts]
+    return (np.array([g.value for g in gs]), np.array([g.d1 for g in gs]),
+            np.array([w_jet(t).value for t in ts]))
+
+
+def _curve_flat(vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Per axis point, whether the curve degenerates (as flat_classify)."""
+    scale = (1.0 + enorm(vel) + enorm(acc)) ** 2
+    return np.abs(mdot(acc, acc)) <= FLAT_TOL * scale
+
+
+def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
+    """Row-major tuple of the values, with None where keep is false."""
+    return tuple(x if k else None
+                 for x, k in zip(values.ravel().tolist(),
+                                 keep.ravel().tolist()))
+
+
+def _extrinsic_k(vel_u, acc_u, vel_v, acc_v):
+    """K = -Q R / Lambda^2 at every vertex of a raw curve pair.
+
+    Follows jets_at and gaussian_curvature_extrinsic step by step; returns K
+    and where it exists (where those raise SingularPoint it does not).
+    """
+    f_u, f_uu = 0.5 * vel_u[:, None, :], 0.5 * acc_u[:, None, :]
+    f_v, f_vv = 0.5 * vel_v[None, :, :], 0.5 * acc_v[None, :, :]
+    lam = mdot(f_u, f_v)
+    scale = enorm(f_u) * enorm(f_v)
+    w_l = np.cross(f_u, f_v) * METRIC
+    s2 = mdot(w_l, w_l)
+    nu = w_l / np.sqrt(s2)[..., None]
+    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / lam ** 2
+    ok = ((s2 > (REGULAR_TOL * np.maximum(scale, 1e-30)) ** 2)
+          & (np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)))
+    return k, ok
+
+
 def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     """Sample a surface on an (nu+1) x (nv+1) grid of its domain rectangle.
 
     Positions come from the curve integrals, cached once per axis. The K
     cell is withheld (None) where the singular proxy is at most
     MESH_SINGULAR_TOL, and the flat tag likewise (flatness is undefined on
-    the singular set).
+    the singular set). Values agree with the per-point functions
+    (gaussian_curvature, flat_classify, signed_area_density) at each vertex.
     """
-    from .singular import signed_area_density
-
     if nu < 2 or nv < 2:
         raise ValueError(f"need nu, nv >= 2, got ({nu!r}, {nv!r})")
     pair = as_pair(d)
@@ -75,69 +121,56 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     # positions split into per-axis curve integrals, so sample each axis once
     phi = np.array([pair.phi_delta(u) for u in us])
     psi = np.array([pair.psi_delta(v) for v in vs])
-    n_pts = (nu + 1) * (nv + 1)
-    params = np.empty((n_pts, 2))
-    positions = np.empty((n_pts, 3))
-    proxies = np.empty(n_pts)
-    k_values = []
-    densities = []
-    flat_tags = []
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            k = i * (nv + 1) + j
-            params[k] = (u, v)
-            positions[k] = 0.5 * (phi[i] + psi[j]) + pair.f0
-            if data is not None:
-                proxy = abs(data.g1_jet(u).value * data.g2_jet(v).value - 1.0)
-                masked = proxy <= MESH_SINGULAR_TOL
-                k_val = None if masked else gaussian_curvature(d, u, v)
-                densities.append(signed_area_density(d, u, v))
-            else:
-                proxy = abs(0.25 * mdot(pair.phi_prime_value(u),
-                                        pair.psi_prime_value(v)))
-                try:
-                    k_val = gaussian_curvature(d, u, v)
-                except (SingularPoint, SingularNeighborhood):
-                    k_val = None
-                densities.append(None)
-            proxies[k] = proxy
-            k_values.append(k_val)
-            try:
-                flat_tags.append(flat_classify(d, u, v).tag.code)
-            except SingularPoint:
-                flat_tags.append(None)
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            v00 = i * (nv + 1) + j
-            v10 = (i + 1) * (nv + 1) + j
-            v01 = i * (nv + 1) + j + 1
-            v11 = (i + 1) * (nv + 1) + j + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return SurfaceMesh(params, positions, tuple(k_values), tuple(densities),
-                       tuple(flat_tags), proxies, np.array(faces, dtype=int),
-                       nu, nv)
+    positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
+    params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
+    vel_u, acc_u = _axis_jets(pair.phi_prime, us)
+    vel_v, acc_v = _axis_jets(pair.psi_prime, vs)
+    lam = 0.25 * mdot(vel_u[:, None, :], vel_v[None, :, :])
+    scale = enorm(vel_u)[:, None] * enorm(vel_v)[None, :]
+    regular = np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)
+    tags = (_curve_flat(vel_u, acc_u).astype(int)[:, None]
+            + _curve_flat(vel_v, acc_v)[None, :])
+    with np.errstate(all="ignore"):
+        if data is not None:
+            g1, g1p, w1 = _data_axis(data.g1_jet, data.w1_jet, us)
+            g2, g2p, w2 = _data_axis(data.g2_jet, data.w2_jet, vs)
+            gg = np.multiply.outer(g1, g2)
+            proxies = np.abs(gg - 1.0)
+            one_m = 1.0 - gg
+            # the closed route of gaussian_curvature; off the singular band
+            # it raises SingularPoint only where denom is 0
+            denom = np.multiply.outer(w1, w2) * one_m ** 4
+            k = (4.0 * g1p)[:, None] * g2p[None, :] / denom
+            has_k = (proxies > MESH_SINGULAR_TOL) & (denom != 0.0)
+            density = (np.multiply.outer(-0.5 * w1, w2) * one_m
+                       * np.sqrt(one_m ** 2
+                                 + 2.0 * np.add.outer(g1, g2) ** 2))
+            densities = tuple(density.ravel().tolist())
+        else:
+            proxies = np.abs(lam)
+            k, has_k = _extrinsic_k(vel_u, acc_u, vel_v, acc_v)
+            densities = (None,) * proxies.size
+    idx = np.arange(proxies.size).reshape(nu + 1, nv + 1)
+    faces = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],
+                      idx[:-1, :-1], idx[1:, 1:], idx[:-1, 1:]], axis=-1)
+    return SurfaceMesh(params, positions.reshape(-1, 3), _cells(k, has_k),
+                       densities, _cells(tags, regular), proxies.ravel(),
+                       faces.reshape(-1, 3), nu, nv)
 
 
-def _with_writer(destination, emit) -> None:
+def _write_text(destination, text: str) -> None:
     if hasattr(destination, "write"):
-        emit(destination)
+        destination.write(text)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+            fh.write(text)
 
 
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ with full-precision vertices and 1-based face indices."""
-
-    def emit(fh: TextIO) -> None:
-        for x in m.positions:
-            fh.write("v %.17g %.17g %.17g\n" % (x[0], x[1], x[2]))
-        for f in m.faces:
-            fh.write("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
-
-    _with_writer(path, emit)
+    _write_text(path, "".join(
+        ["v %.17g %.17g %.17g\n" % tuple(x) for x in m.positions.tolist()]
+        + ["f %d %d %d\n" % tuple(f) for f in (m.faces + 1).tolist()]))
 
 
 def export_fields_csv(m: SurfaceMesh, path) -> None:
@@ -145,25 +178,18 @@ def export_fields_csv(m: SurfaceMesh, path) -> None:
 
     Columns: u, v, x0, x1, x2, K, lambda, flat_tag, sing_proxy. Cells whose
     value is withheld on the mesh (K and flat_tag on the singular band,
-    lambda for raw curve pairs) are left empty.
+    lambda for raw curve pairs) are left empty. Rows end in CRLF, as the
+    csv module writes them.
     """
 
-    def fmt(x) -> str:
+    def cell(x) -> str:
         return "" if x is None else "%.17g" % x
 
-    def emit(fh: TextIO) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "x0", "x1", "x2", "K", "lambda",
-                         "flat_tag", "sing_proxy"])
-        for k in range(len(m.positions)):
-            u, v = m.params[k]
-            x = m.positions[k]
-            tag = m.flat_tags[k]
-            writer.writerow([
-                "%.17g" % u, "%.17g" % v,
-                "%.17g" % x[0], "%.17g" % x[1], "%.17g" % x[2],
-                fmt(m.k_values[k]), fmt(m.area_density[k]),
-                "" if tag is None else str(tag),
-                "%.17g" % m.proxies[k]])
-
-    _with_writer(path, emit)
+    rows = zip(m.params.tolist(), m.positions.tolist(), m.k_values,
+               m.area_density, m.flat_tags, m.proxies.tolist())
+    _write_text(path, "".join(
+        ["u,v,x0,x1,x2,K,lambda,flat_tag,sing_proxy\r\n"]
+        + ["%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%.17g\r\n"
+           % (u, v, x[0], x[1], x[2], cell(k), cell(lam),
+              "" if tag is None else tag, proxy)
+           for (u, v), x, k, lam, tag, proxy in rows]))

@@ -1,11 +1,13 @@
 """Adaptive 1-D quadrature with prefix caching along a curve parameter.
 
-The kernel integrates smooth vector-valued integrands with an embedded
-Gauss-Legendre 10/20 pair: each interval is estimated by the 10- and 20-point
-rules, the difference serves as the error estimate, and intervals whose
-estimate exceeds their share of the absolute tolerance are bisected. A hard
-subdivision budget turns non-convergence into a QuadratureError that reports
-the offending interval and the last estimate instead of silently returning.
+The kernel integrates smooth vector-valued integrands with a pair of
+Gauss-Legendre rules (10 and 20 points, not nested): each interval is
+estimated by both, the difference serves as the error estimate, and an
+interval is accepted when that error is within its share of the absolute
+tolerance or within REL_TOL of its own estimate; otherwise it is bisected.
+A hard subdivision budget turns non-convergence into a QuadratureError that
+reports the interval that failed and its estimate instead of silently
+returning.
 
 Surface evaluation integrates the same two curve derivatives again and again
 from a fixed base parameter, so PrefixIntegral caches cumulative integrals at
@@ -18,6 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuadratureError
+
+# An interval is also accepted when its error estimate is at most this share
+# of its own integral estimate (needed where the integrand is large).
+REL_TOL = 1e-12
 
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X20, _W20 = np.polynomial.legendre.leggauss(20)
@@ -37,8 +43,10 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
                   max_intervals: int = 4096):
     """Integral of fn over [a, b]; fn returns a float or a 1-D array.
 
-    Absolute tolerance is distributed over subintervals by length. Raises
-    QuadratureError when the subdivision budget is exhausted.
+    Absolute tolerance is distributed over subintervals by length; an
+    interval whose error is within REL_TOL of its estimate also passes.
+    Raises QuadratureError, naming the last interval that failed, when the
+    subdivision budget is exhausted.
     """
     if a == b:
         probe = np.asarray(fn(a), dtype=float)
@@ -54,16 +62,15 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
     while stack:
         lo, hi = stack.pop()
         used += 1
-        if used > max_intervals:
-            est = _rule(fn, lo, hi, _X20, _W20)
-            raise QuadratureError((lo, hi), est, float(np.max(np.abs(
-                est - _rule(fn, lo, hi, _X10, _W10)))))
         coarse = _rule(fn, lo, hi, _X10, _W10)
         fine = _rule(fn, lo, hi, _X20, _W20)
         err = float(np.max(np.abs(fine - coarse)))
         budget = abs_tol * (hi - lo) / total_len
-        if err <= max(budget, 1e-300) or (hi - lo) < 1e-14 * total_len:
+        if (err <= max(budget, 1e-300) or (hi - lo) < 1e-14 * total_len
+                or err <= REL_TOL * float(np.max(np.abs(fine)))):
             acc = fine if acc is None else acc + fine
+        elif used >= max_intervals:
+            raise QuadratureError((float(lo), float(hi)), fine.tolist(), err)
         else:
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid))

@@ -14,8 +14,9 @@ expressions; they must be null and regular, and operations that need the data
 functions (tracing, classification, closed-form curvature) are unavailable.
 
 Positions integrate the velocities from a base parameter pair with adaptive
-quadrature (absolute tolerance 1e-12) behind per-axis prefix caches; raw-curve
-positions evaluate their expressions directly.
+quadrature (absolute tolerance 1e-12, relative 1e-12 on large integrals)
+behind per-axis prefix caches; raw-curve positions evaluate their expressions
+directly.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .lorentz import enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
 QUAD_TOL = 1e-12
+# A point is singular (no unit normal, no curvature) where Lambda, or the
+# normal it induces, is at most this share of |f_u| |f_v|.
+REGULAR_TOL = 1e-13
 _VALIDATION_GRID = 64
 
 
@@ -50,6 +54,9 @@ class Rect:
     v_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u_min, self.u_max,
+                                       self.v_min, self.v_max))):
+            raise ValueError("domain rectangle must have finite bounds")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("domain rectangle must have positive extent")
 
@@ -424,10 +431,10 @@ def jets_at(surface: Surface, u: float, v: float,
         w_e = np.cross(f_u, f_v)
         scale = enorm(f_u) * enorm(f_v)
         mag = enorm(w_e)
-        n = w_e / mag if mag > 1e-13 * max(scale, 1e-30) else None
+        n = w_e / mag if mag > REGULAR_TOL * max(scale, 1e-30) else None
         w_l = vec3(-w_e[0], w_e[1], w_e[2])
         s2 = mdot(w_l, w_l)
-        if s2 > (1e-13 * max(scale, 1e-30)) ** 2:
+        if s2 > (REGULAR_TOL * max(scale, 1e-30)) ** 2:
             nu = w_l / math.sqrt(s2)
             Q = mdot(f_uu, nu)
             R = mdot(f_vv, nu)

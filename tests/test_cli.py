@@ -171,6 +171,27 @@ def test_usage_errors_exit_one(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_small_grids_are_usage_errors(spec_dir, tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert main(["sample", "--spec", enneper_spec(spec_dir), "--nu", "1",
+                 "--out", out]) == 1
+    assert main(["singular", "--spec", enneper_spec(spec_dir),
+                 "--grid", "8", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("usage error:") for e in err)
+    assert "--nu" in err[0] and "--grid" in err[1]
+
+
+def test_non_finite_domain_exits_two(tmp_path, capsys):
+    spec = dict(gallery.spec_dict("enneper"))
+    spec["domain"] = {"u": [0, 1e400], "v": [0, 1]}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(spec).replace("Infinity", "1e400"))
+    assert main(["sample", "--spec", str(path), "--nu", "2", "--nv", "2",
+                 "--out", str(tmp_path / "m.obj")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_bad_spec_files_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["curvature", "--spec", str(missing),

@@ -52,6 +52,29 @@ def test_nonconvergent_integrand_raises():
         adaptive_quad(noise, 0.0, 1.0, abs_tol=1e-14)
 
 
+def test_failure_names_a_failed_interval_in_plain_floats():
+    state = {"x": 1234567}
+
+    def noise(t):
+        state["x"] = (1103515245 * state["x"] + 12345) % (1 << 31)
+        return state["x"] / float(1 << 31)
+
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_quad(noise, 0.0, 1.0, abs_tol=1e-14, max_intervals=64)
+    lo, hi = exc.value.interval
+    assert type(lo) is float and type(hi) is float and 0.0 <= lo < hi <= 1.0
+    assert type(exc.value.estimate) is float
+    assert exc.value.err > 1e-14 * (hi - lo)
+    assert "np.float64" not in str(exc.value)
+
+
+def test_relative_acceptance_for_large_integrands():
+    # |integral| ~ 1e10: the absolute tolerance is below one ulp of it
+    got = adaptive_quad(lambda t: math.exp(2 * t), 5.9, 12.0)
+    want = 0.5 * (math.exp(24.0) - math.exp(11.8))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_prefix_integral_matches_direct():
     fn = lambda t: np.array([math.sin(3 * t), math.cosh(t), t ** 4])
     pre = PrefixIntegral(fn, 0.5, -2.0, 2.0, abs_tol=1e-12)

@@ -55,6 +55,30 @@ def test_rect_validation():
     assert r.contains(1.05, 1.0, pad=0.1)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.0, 1.0),
+                                    (-math.inf, 0.0, 0.0, 1.0),
+                                    (0.0, 1.0, math.nan, 1.0)])
+def test_rect_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError):
+        Rect(*bounds)
+
+
+def test_large_integrand_matches_antiderivative():
+    # phi' = (-1 - e^(2u), 1 - e^(2u), 2 e^u) reaches 2.6e10 at u = 12, where
+    # an absolute tolerance alone cannot be met in floating point.
+    d = RealWeierstrassData.from_strings("exp(u)", "v", "1", "1",
+                                         Rect(-1.0, 12.0, -1.0, 1.0))
+
+    def antiderivative(u):
+        e = math.exp(u)
+        return np.array([-u - 0.5 * e * e, u - 0.5 * e * e, 2.0 * e])
+
+    pair = as_pair(d)
+    for u in (-1.0, 3.7, 5.928, 11.3, 12.0):
+        want = antiderivative(u) - antiderivative(0.0)
+        assert np.allclose(pair.phi_delta(u), want, rtol=1e-13, atol=1e-13)
+
+
 def test_degree_one_position_matches_closed_form(enneper, rng):
     for _ in range(50):
         u, v = rng.uniform(-3, 3, size=2)
@@ -222,6 +246,22 @@ def test_dict_round_trip(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["mode"] == "weierstrass"
     assert obj["base"] == [0.0, 0.0]
+
+
+def test_dict_base_defaults_to_domain_centre():
+    obj = enneper_dict()
+    obj["domain"] = {"u": [-1, 3], "v": [0, 1]}
+    d = surface_from_dict(obj)
+    assert d.base == (1.0, 0.5)
+    # the base point is where the surface sits at f0
+    assert np.array_equal(evaluate(d, 1.0, 0.5), np.zeros(3))
+
+
+def test_dict_rejects_non_finite_domain():
+    obj = enneper_dict()
+    obj["domain"] = {"u": [0, 1e400], "v": [0, 1]}
+    with pytest.raises(SpecFileError):
+        surface_from_dict(obj)
 
 
 def test_dict_rejects_unknown_keys():
