@@ -23,7 +23,8 @@ from typing import Callable, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from .errors import (DegenerateSingular, ModeUnsupported, NotCuspidalEdge,
+from .errors import (DegenerateSingular, DivisionByZero, DomainError,
+                     ModeUnsupported, NonFiniteResult, NotCuspidalEdge,
                      NotSingular, SingularPoint)
 from .expr import eval_value
 from .jets import shift_derivative
@@ -184,7 +185,10 @@ def classify_singular(surface: Surface, u: float, v: float,
     a plus sign. Points with g1' = g2' = 0 are DegenerateSingular; surviving
     borderline cases (criteria quantities inside the band) are Unresolved.
     """
-    sd = singular_data(surface, u, v)
+    return _classify(singular_data(surface, u, v), tol)
+
+
+def _classify(sd: SingularData, tol: float) -> SingularPointReport:
     _require_singular(sd, tol)
     band = sd.band(tol)
     front = abs(sd.a_minus_b) > band
@@ -211,7 +215,7 @@ def classify_singular(surface: Surface, u: float, v: float,
             tag = SingularClassification.UNRESOLVED
     grad = lambda_gradient_on_singular(sd)
     return SingularPointReport(
-        u=u, v=v, a=sd.a, b=sd.b, a_minus_b=sd.a_minus_b,
+        u=sd.u, v=sd.v, a=sd.a, b=sd.b, a_minus_b=sd.a_minus_b,
         a_plus_b=sd.a_plus_b, third_sw=third_sw, third_ccr=third_ccr,
         is_front=front, is_nondegenerate=nondeg, tag=tag, kappa_s=kappa,
         lambda_gradient_norm=math.hypot(*grad))
@@ -379,12 +383,15 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
                        refine_special: bool = True) -> List[SingularCurve]:
     """Polyline trace of {g1 g2 = 1} over the domain grid.
 
-    Marching squares on a (grid_n+1)^2 sample of h = g1*g2 - 1; every
-    crossing is sharpened to |h| < 1e-12 along its grid edge. When
-    ``refine_special`` is set, sign changes of a + b and a - b along each
-    polyline are located by a two-dimensional Newton iteration on
-    {h = 0, a +- b = 0} and the solutions are inserted as extra vertices, so
-    swallowtail and cross-cap candidates appear as exact polyline points.
+    Marching squares on the signs of g1(u_i) g2(v_j) - 1 at the
+    (grid_n+1)^2 grid nodes: the sign test is one numpy broadcast, and only
+    the cells the curve crosses are visited, so the cost beyond that test is
+    proportional to the number of crossed cells. Every crossing is sharpened
+    to |h| < 1e-12 along its grid edge. When ``refine_special`` is set, sign
+    changes of a + b and a - b along each polyline are located by a
+    two-dimensional Newton iteration on {h = 0, a +- b = 0} and the solutions
+    are inserted as extra vertices, so swallowtail and cross-cap candidates
+    appear as exact polyline points.
     """
     d = require_data(surface, "singular-set tracing")
     if grid_n < 16:
@@ -393,8 +400,12 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
     vs = d.domain.v_grid(grid_n + 1)
     g1_vals = np.array([eval_value(d.g1, u) for u in us])
     g2_vals = np.array([eval_value(d.g2, v) for v in vs])
-    H = np.outer(g1_vals, g2_vals) - 1.0
-    pos = H > 0
+    # g1 g2 > 1 exactly when h = g1 g2 - 1 > 0, so no grid-sized float h
+    # array is needed besides the product
+    pos = np.multiply.outer(g1_vals, g2_vals) > 1.0
+    p = pos.view(np.uint8)
+    cases = (p[:-1, :-1] | p[1:, :-1] << 1 | p[1:, 1:] << 2
+             | p[:-1, 1:] << 3)
 
     g1_fn = lambda t: eval_value(d.g1, t)
     g2_fn = lambda t: eval_value(d.g2, t)
@@ -415,32 +426,30 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
         return pt
 
     segments = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            idx = (int(pos[i, j]) | int(pos[i + 1, j]) << 1
-                   | int(pos[i + 1, j + 1]) << 2 | int(pos[i, j + 1]) << 3)
-            if idx in (0, 15):
-                continue
-            local = {0: ("u", i, j), 1: ("v", i + 1, j),
-                     2: ("u", i, j + 1), 3: ("v", i, j)}
-            if idx in (5, 10):
-                uc = 0.5 * (us[i] + us[i + 1])
-                vc = 0.5 * (vs[j] + vs[j + 1])
-                center_pos = g1_fn(uc) * g2_fn(vc) - 1.0 > 0
-                # saddle cell: corners 00/11 share a sign, 10/01 share the
-                # other; the center decides which diagonal the contour splits
-                corners_00_11_isolated = ((idx == 5 and not center_pos)
-                                          or (idx == 10 and center_pos))
-                if corners_00_11_isolated:
-                    pairs = [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 1), (2, 3)]
+    # crossed cells in row-major order: stitching, and so the curve and
+    # vertex order, depends on the order segments are found in
+    for i, j in np.argwhere((cases != 0) & (cases != 15)).tolist():
+        idx = int(cases[i, j])
+        local = {0: ("u", i, j), 1: ("v", i + 1, j),
+                 2: ("u", i, j + 1), 3: ("v", i, j)}
+        if idx in (5, 10):
+            uc = 0.5 * (us[i] + us[i + 1])
+            vc = 0.5 * (vs[j] + vs[j + 1])
+            center_pos = g1_fn(uc) * g2_fn(vc) - 1.0 > 0
+            # saddle cell: corners 00/11 share a sign, 10/01 share the
+            # other; the center decides which diagonal the contour splits
+            corners_00_11_isolated = ((idx == 5 and not center_pos)
+                                      or (idx == 10 and center_pos))
+            if corners_00_11_isolated:
+                pairs = [(3, 0), (1, 2)]
             else:
-                pairs = _MS_SEGMENTS[idx]
-            for e_a, e_b in pairs:
-                pa, pb = point_on(local[e_a]), point_on(local[e_b])
-                if pa is not None and pb is not None:
-                    segments.append((local[e_a], local[e_b]))
+                pairs = [(0, 1), (2, 3)]
+        else:
+            pairs = _MS_SEGMENTS[idx]
+        for e_a, e_b in pairs:
+            pa, pb = point_on(local[e_a]), point_on(local[e_b])
+            if pa is not None and pb is not None:
+                segments.append((local[e_a], local[e_b]))
 
     # stitch segments into polylines by shared edge ids
     adjacency = {}
@@ -471,22 +480,22 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
 
     out = []
     for pts, closed in curves:
+        data = [singular_data(surface, u, v) for u, v in pts]
         if refine_special:
-            pts = _insert_special_points(surface, pts, tol)
-        reports = [classify_singular(surface, p[0], p[1], tol) for p in pts]
-        residual = max(abs(singular_data(surface, p[0], p[1]).h)
-                       for p in pts)
+            data = _insert_special_points(surface, data)
+        reports = [_classify(sd, tol) for sd in data]
+        residual = max(abs(sd.h) for sd in data)
         out.append(SingularCurve(reports, residual, closed))
     return out
 
 
-def _insert_special_points(surface: Surface, pts, tol: float):
+def _insert_special_points(surface: Surface,
+                           data: List[SingularData]) -> List[SingularData]:
     """Insert Newton-refined zeros of a + b and a - b between polyline nodes."""
-    data = [singular_data(surface, p[0], p[1]) for p in pts]
     enriched = []
-    for k in range(len(pts)):
-        enriched.append(pts[k])
-        if k + 1 >= len(pts):
+    for k in range(len(data)):
+        enriched.append(data[k])
+        if k + 1 >= len(data):
             break
         s0, s1 = data[k], data[k + 1]
         for sign in (1.0, -1.0):  # a + sign*b
@@ -494,32 +503,36 @@ def _insert_special_points(surface: Surface, pts, tol: float):
             c1 = s1.a + sign * s1.b
             if c0 == 0.0 or c1 == 0.0 or (c0 > 0) == (c1 > 0):
                 continue
-            refined = _newton_special(surface,
-                                      0.5 * (pts[k][0] + pts[k + 1][0]),
-                                      0.5 * (pts[k][1] + pts[k + 1][1]), sign)
+            refined = _newton_special(surface, 0.5 * (s0.u + s1.u),
+                                      0.5 * (s0.v + s1.v), sign)
             if refined is not None:
-                near_prev = (abs(refined[0] - pts[k][0])
-                             + abs(refined[1] - pts[k][1])) < 1e-12
-                near_next = (abs(refined[0] - pts[k + 1][0])
-                             + abs(refined[1] - pts[k + 1][1])) < 1e-12
+                near_prev = (abs(refined.u - s0.u)
+                             + abs(refined.v - s0.v)) < 1e-12
+                near_next = (abs(refined.u - s1.u)
+                             + abs(refined.v - s1.v)) < 1e-12
                 if not near_prev and not near_next:
                     enriched.append(refined)
     return enriched
 
 
 def _newton_special(surface: Surface, u: float, v: float, sign: float,
-                    iters: int = 50) -> Optional[Tuple[float, float]]:
-    """Solve {h = 0, a + sign*b = 0} from (u, v) by a 2x2 Newton iteration."""
+                    iters: int = 50) -> Optional[SingularData]:
+    """Solve {h = 0, a + sign*b = 0} from (u, v) by a 2x2 Newton iteration.
+
+    Returns the singular data at the solution, or None when the iteration
+    does not converge or an iterate leaves the region where the data
+    functions are defined and nonzero.
+    """
     for _ in range(iters):
         try:
             sd = singular_data(surface, u, v)
-        except DegenerateSingular:
+        except (NotSingular, DomainError, DivisionByZero, NonFiniteResult):
             return None
         f0 = sd.h
         f1 = sd.a + sign * sd.b
         scale = 1.0 + abs(sd.a) + abs(sd.b)
         if abs(f0) < 1e-13 and abs(f1) < 1e-13 * scale:
-            return (u, v)
+            return sd
         jac = np.array([[sd.h_u, sd.h_v],
                         [sd.a_rate, sign * sd.b_rate]])
         try:

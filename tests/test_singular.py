@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minface import gallery
 
 from minface.errors import (
     DegenerateSingular,
@@ -12,8 +16,10 @@ from minface.errors import (
     NotCuspidalEdge,
     NotSingular,
 )
+from minface.expr import eval_value
 from minface.singular import (
     MainTheoremReport,
+    _newton_special,
     SingularClassification,
     all_reports,
     classify_singular,
@@ -30,6 +36,7 @@ from minface.singular import (
     write_singular_csv,
 )
 from minface.surface import RealWeierstrassData, Rect, conjugate_data
+from minface.verify import make_accumulation_data, make_random_poly_data
 
 CE = SingularClassification.CUSPIDAL_EDGE
 SW = SingularClassification.SWALLOWTAIL
@@ -254,6 +261,75 @@ def test_csv_round_trip(enneper, tmp_path):
     path = tmp_path / "sing.csv"
     write_singular_csv(all_reports(curves), path)
     assert path.read_text().splitlines()[0] == lines[0]
+
+
+def _trace_surface(name):
+    kind, _, seed = name.partition("-seed")
+    if kind == "poly":
+        return make_random_poly_data(np.random.default_rng(int(seed)))
+    if kind == "accumulation":
+        return make_accumulation_data(np.random.default_rng(int(seed)))
+    return gallery.get(name)
+
+
+# the random seeds are the first ones whose singular set meets the domain
+@pytest.mark.parametrize("grid_n", [16, 33, 128])
+@pytest.mark.parametrize("name", [
+    "enneper", "enneper-conj", "ce-quasiumbilic",
+    "poly-seed1", "poly-seed4", "poly-seed5", "poly-seed7",
+    "accumulation-seed0", "accumulation-seed1"])
+def test_trace_reports_equal_pointwise_classification(name, grid_n):
+    surface = _trace_surface(name)
+    curves = trace_singular_set(surface, grid_n)
+    assert curves
+    for c in curves:
+        for r in c.points:
+            assert r == classify_singular(surface, r.u, r.v)
+        assert c.residual_max == max(abs(singular_data(surface, r.u, r.v).h)
+                                     for r in c.points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), grid_n=st.integers(16, 64))
+def test_trace_vertices_match_separable_sign_changes(seed, grid_n):
+    """Grid-line vertices are exactly the 1-D sign changes of g1 g2 - 1.
+
+    On column u = us[i] the singular set is g2(v) = 1/g1(us[i]), a 1-D
+    problem per grid line: each grid edge whose end signs differ must carry
+    exactly one trace vertex. Newton-inserted vertices lie off the grid
+    lines and drop out of the exact-equality matching.
+    """
+    d = make_random_poly_data(np.random.default_rng(seed))
+    us, vs = d.domain.u_grid(grid_n + 1), d.domain.v_grid(grid_n + 1)
+    positive = np.outer([eval_value(d.g1, u) for u in us],
+                        [eval_value(d.g2, v) for v in vs]) - 1.0 > 0
+    on_column = {u: i for i, u in enumerate(us.tolist())}
+    on_row = {v: j for j, v in enumerate(vs.tolist())}
+    column_hits = np.zeros((grid_n + 1, grid_n), dtype=int)
+    row_hits = np.zeros((grid_n, grid_n + 1), dtype=int)
+    for r in all_reports(trace_singular_set(d, grid_n)):
+        if r.u in on_column:
+            j = int(np.searchsorted(vs, r.v)) - 1
+            assert vs[j] < r.v < vs[j + 1]
+            column_hits[on_column[r.u], j] += 1
+        elif r.v in on_row:
+            i = int(np.searchsorted(us, r.u)) - 1
+            assert us[i] < r.u < us[i + 1]
+            row_hits[i, on_row[r.v]] += 1
+    assert np.array_equal(column_hits, positive[:, :-1] != positive[:, 1:])
+    assert np.array_equal(row_hits, positive[:-1, :] != positive[1:, :])
+
+
+@pytest.mark.parametrize("data, u, v", [
+    # g1(0) = 0: the first iterate is provably off the singular set
+    (gallery.get("enneper"), 0.0, 0.5),
+    # the first step lands at u < 0, outside the domain of sqrt
+    (RealWeierstrassData.from_strings("sqrt(u)", "v", "1", "1",
+                                      Rect(0.01, 2.0, -2.0, 2.0),
+                                      base=(1.0, 0.0)), 0.01, 0.5),
+])
+def test_newton_special_gives_up_where_data_is_unusable(data, u, v):
+    assert _newton_special(data, u, v, 1.0) is None
 
 
 # --- main theorem ----------------------------------------------------------------
