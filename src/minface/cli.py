@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 surface-description/parse error,
-3 numeric failure (quadrature trouble, point off the singular set, failed
-verification).
+3 any other library error or a failed verification (numeric failure,
+quadrature trouble, point off the singular set).
 """
 
 from __future__ import annotations
@@ -13,13 +13,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import gallery as gallery_mod
-from .errors import (DataConversionDegenerate, DegenerateAtPoint,
-                     DegenerateOnInterval, DegenerateSingular, DivisionByZero,
-                     DomainError, ExpressionSyntaxError, FlatPoint,
-                     InvalidCurveData, InvalidWeierstrassData, ModeUnsupported,
-                     MultipleVariables, NonFiniteResult, NonIntegerExponent,
-                     NotCuspidalEdge, NotSingular, QuadratureError,
-                     SingularNeighborhood, SingularPoint, SpecFileError)
+from .errors import (ExpressionSyntaxError, InvalidCurveData,
+                     InvalidWeierstrassData, MinfaceError, ModeUnsupported,
+                     MultipleVariables, NonIntegerExponent, SpecFileError)
 from .mesh import export_fields_csv, export_obj, sample_grid
 from .singular import (SingularClassification, classify_singular,
                        trace_singular_set, write_singular_csv)
@@ -29,11 +25,6 @@ from .verify import format_results, run_battery
 _PARSE_ERRORS = (SpecFileError, ExpressionSyntaxError, NonIntegerExponent,
                  MultipleVariables, InvalidWeierstrassData, InvalidCurveData,
                  ModeUnsupported)
-_NUMERIC_ERRORS = (QuadratureError, NonFiniteResult, DomainError,
-                   DivisionByZero, SingularPoint, SingularNeighborhood,
-                   NotSingular, NotCuspidalEdge, FlatPoint, DegenerateAtPoint,
-                   DegenerateOnInterval, DegenerateSingular,
-                   DataConversionDegenerate)
 
 _TAG_WORDS = {
     SingularClassification.CUSPIDAL_EDGE: "cuspidal edge",
@@ -215,7 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as err:
+    except MinfaceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

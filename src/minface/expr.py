@@ -15,9 +15,16 @@ by "(" is the variable; an expression may use at most one distinct variable
 name (``MultipleVariables`` otherwise). The callable identifiers are exactly
 sin, cos, tan, exp, log, sqrt, atan, sinh, cosh.
 
+Each ``Expression`` is compiled once, when it is built, into one closure from
+a ``Jet3`` to a ``Jet3`` (univariate Taylor-mode differentiation through the
+``jets`` operations). ``eval_jet`` calls it; ``eval_value`` reads the value
+slot of the jet at the variable, so a value is reported only where its
+third-order jet is finite.
+
 Parse errors carry the byte offset of the offending token and a hint of what
-was expected. Evaluation errors (log of a negative jet, division by zero)
-carry the source span of the offending subexpression.
+was expected. Every evaluation error is typed: ``DomainError`` (log of a
+non-positive jet), ``DivisionByZero`` and ``NonFiniteResult``. Those raised
+by an operation of the tree carry the source span of that subexpression.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import jets
 from .errors import (DivisionByZero, DomainError, ExpressionSyntaxError,
-                     MultipleVariables, NonIntegerExponent)
+                     MultipleVariables, NonFiniteResult, NonIntegerExponent)
 from .jets import Jet3
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan", "sinh", "cosh")
@@ -88,11 +95,20 @@ Node = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression plus its single variable name (None if constant)."""
+    """A parsed expression plus its single variable name (None if constant).
+
+    The tree is compiled once, on construction, into the jet function that
+    ``eval_jet`` and ``eval_value`` call.
+    """
 
     root: Node
     variable: Optional[str]
     text: str = field(default="", compare=False)
+    _jet: Callable[[Jet3], Jet3] = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_jet", _compile(self.root))
 
     def __str__(self):
         return to_string(self)
@@ -145,6 +161,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.names = set()  # variable names, recorded as each Var is built
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -233,6 +250,7 @@ class _Parser:
             if t.text in FUNCTIONS:
                 raise ExpressionSyntaxError(t.pos, f"'(' after function {t.text}",
                                             t.text)
+            self.names.add(t.text)
             return Var(t.text, (t.pos, t.pos + len(t.text)))
         if t.kind == "OP" and t.text == "(":
             self.take()
@@ -250,25 +268,11 @@ def _respan(node: Node, span) -> Node:
     return type(node)(**kwargs)
 
 
-def _collect_vars(node: Node, names: set):
-    if isinstance(node, Var):
-        names.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.child, names)
-    elif isinstance(node, BinOp):
-        _collect_vars(node.left, names)
-        _collect_vars(node.right, names)
-    elif isinstance(node, Pow):
-        _collect_vars(node.base, names)
-    elif isinstance(node, Call):
-        _collect_vars(node.arg, names)
-
-
 def parse(text: str) -> Expression:
     """Parse source text into an Expression; see the module grammar."""
-    root = _Parser(text).parse()
-    names: set = set()
-    _collect_vars(root, names)
+    parser = _Parser(text)
+    root = parser.parse()
+    names = parser.names
     if len(names) > 1:
         raise MultipleVariables(names)
     return Expression(root, names.pop() if names else None, text)
@@ -279,88 +283,77 @@ def parse(text: str) -> Expression:
 
 def eval_jet(e: Expression, x: Jet3) -> Jet3:
     """Evaluate on a jet; the single variable is bound to x."""
-    return _eval_jet(e.root, x)
-
-
-def _eval_jet(node: Node, x: Jet3) -> Jet3:
-    if isinstance(node, Num):
-        return jets.constant(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return jets.neg(_eval_jet(node.child, x))
-    if isinstance(node, BinOp):
-        a = _eval_jet(node.left, x)
-        b = _eval_jet(node.right, x)
-        if node.op == "+":
-            return jets.add(a, b)
-        if node.op == "-":
-            return jets.sub(a, b)
-        if node.op == "*":
-            return jets.mul(a, b)
-        try:
-            return jets.div(a, b)
-        except DivisionByZero:
-            raise DivisionByZero(span=node.span) from None
-    if isinstance(node, Pow):
-        try:
-            return jets.int_pow(_eval_jet(node.base, x), node.exponent)
-        except DivisionByZero:
-            raise DivisionByZero(span=node.span) from None
-    if isinstance(node, Call):
-        arg = _eval_jet(node.arg, x)
-        try:
-            return jets.ELEMENTARY[node.fn](arg)
-        except DomainError as err:
-            raise DomainError(err.fn, err.value, span=node.span) from None
-    raise TypeError(f"unknown node {node!r}")
-
-
-_MATH_FN = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "atan": math.atan,
-    "sinh": math.sinh, "cosh": math.cosh,
-}
+    return e._jet(x)
 
 
 def eval_value(e: Expression, x: float) -> float:
-    """Value-only evaluation; cheaper than eval_jet inside quadrature loops."""
-    return _eval_value(e.root, x)
+    """Value of e at x: the value slot of its jet at the variable x.
+
+    Raises ``NonFiniteResult`` where that jet is not finite, even if the
+    value alone would be.
+    """
+    return e._jet(jets.lift_variable(x)).value
 
 
-def _eval_value(node: Node, x: float) -> float:
+_BINARY = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
+
+
+def _compile(node: Node) -> Callable[[Jet3], Jet3]:
+    """The jet function of the tree under node, as one closure.
+
+    Literals are lifted to jets here, once. Operations that can fail run
+    through ``_located``; children are evaluated outside it, so an error
+    carries the span of the innermost node that raised it.
+    """
     if isinstance(node, Num):
-        return node.value
+        c = jets.constant(node.value)
+        return lambda x: c
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -_eval_value(node.child, x)
+        f = _compile(node.child)
+        return lambda x: jets.neg(f(x))
     if isinstance(node, BinOp):
-        a = _eval_value(node.left, x)
-        b = _eval_value(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DivisionByZero(span=node.span)
-        return a / b
+        f, g = _compile(node.left), _compile(node.right)
+        op = _BINARY[node.op]
+        if node.op == "/":
+            op = _located(op, node)
+        return lambda x: op(f(x), g(x))
     if isinstance(node, Pow):
-        base = _eval_value(node.base, x)
-        if base == 0.0 and node.exponent < 0:
-            raise DivisionByZero(span=node.span)
-        return base ** node.exponent
+        f, n = _compile(node.base), node.exponent
+        op = _located(jets.int_pow, node)
+        return lambda x: op(f(x), n)
     if isinstance(node, Call):
-        arg = _eval_value(node.arg, x)
-        if node.fn in ("log", "sqrt") and arg <= 0.0:
-            raise DomainError(node.fn, arg, span=node.span)
-        try:
-            return _MATH_FN[node.fn](arg)
-        except (ValueError, OverflowError):
-            raise DomainError(node.fn, arg, span=node.span) from None
+        f = _compile(node.arg)
+        op = _located(jets.ELEMENTARY[node.fn], node)
+        return lambda x: op(f(x))
     raise TypeError(f"unknown node {node!r}")
+
+
+def _located(op, node: Node):
+    """op, with every error it raises typed and located at node's span.
+
+    An outer derivative can overflow a float ``**`` (OverflowError) or
+    divide by an underflowed zero (ZeroDivisionError) before the jet's own
+    finiteness check; either way the jet is not representable. ``math``
+    functions raise ValueError only on an infinite argument.
+    """
+    span = node.span
+
+    def at(*args):
+        try:
+            return op(*args)
+        except DivisionByZero:
+            raise DivisionByZero(span=span) from None
+        except DomainError as err:
+            raise DomainError(err.fn, err.value, span=span) from None
+        except ValueError:
+            raise DomainError(op.__name__, args[0].value, span=span) from None
+        except (ZeroDivisionError, OverflowError):
+            raise NonFiniteResult(f"non-finite result in jet {op.__name__} "
+                                  f"at offset {span[0]}..{span[1]}") from None
+
+    return at
 
 
 # --- canonical printing ------------------------------------------------------

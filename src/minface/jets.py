@@ -8,7 +8,10 @@ determinant tests at singular points) while staying allocation-cheap inside
 tracing loops.
 
 Every operation validates its output: NaN or +-inf raises ``NonFiniteResult``
-instead of propagating silently.
+instead of propagating silently. Computing an outer derivative can overflow
+a float ``**`` or divide by a zero that underflowed; that raises the bare
+OverflowError or ZeroDivisionError before the check, and ``minface.expr``
+maps both to ``NonFiniteResult``.
 """
 
 from __future__ import annotations

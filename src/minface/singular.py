@@ -344,15 +344,15 @@ def _edge_root(g_fn, g_other: float, lo: float, hi: float,
         return None
     t = 0.5 * (lo + hi)
     for _ in range(60):
-        ht = h(t)
+        jt = jet_fn(t)
+        ht = jt.value * g_other - 1.0
         if abs(ht) < tol:
             return t
         if (ht > 0) == (h_lo > 0):
             lo = t
         else:
             hi = t
-        dj = jet_fn(t)
-        dh = dj.d1 * g_other
+        dh = jt.d1 * g_other
         if dh != 0.0:
             t_new = t - ht / dh
             if not (lo < t_new < hi):
@@ -379,19 +379,17 @@ _MS_SEGMENTS = {
 
 
 def trace_singular_set(surface: Surface, grid_n: int = 256,
-                       tol: float = DEFAULT_TOL,
-                       refine_special: bool = True) -> List[SingularCurve]:
+                       tol: float = DEFAULT_TOL) -> List[SingularCurve]:
     """Polyline trace of {g1 g2 = 1} over the domain grid.
 
     Marching squares on the signs of g1(u_i) g2(v_j) - 1 at the
     (grid_n+1)^2 grid nodes: the sign test is one numpy broadcast, and only
     the cells the curve crosses are visited, so the cost beyond that test is
     proportional to the number of crossed cells. Every crossing is sharpened
-    to |h| < 1e-12 along its grid edge. When ``refine_special`` is set, sign
-    changes of a + b and a - b along each polyline are located by a
-    two-dimensional Newton iteration on {h = 0, a +- b = 0} and the solutions
-    are inserted as extra vertices, so swallowtail and cross-cap candidates
-    appear as exact polyline points.
+    to |h| < 1e-12 along its grid edge. Sign changes of a + b and a - b
+    along each polyline are located by a two-dimensional Newton iteration on
+    {h = 0, a +- b = 0} and the solutions are inserted as extra vertices, so
+    swallowtail and cross-cap candidates appear as exact polyline points.
     """
     d = require_data(surface, "singular-set tracing")
     if grid_n < 16:
@@ -480,9 +478,8 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
 
     out = []
     for pts, closed in curves:
-        data = [singular_data(surface, u, v) for u, v in pts]
-        if refine_special:
-            data = _insert_special_points(surface, data)
+        data = _insert_special_points(
+            surface, [singular_data(surface, u, v) for u, v in pts])
         reports = [_classify(sd, tol) for sd in data]
         residual = max(abs(sd.h) for sd in data)
         out.append(SingularCurve(reports, residual, closed))

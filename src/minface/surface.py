@@ -322,7 +322,7 @@ def _rotate_time_axis(vel: np.ndarray, theta: float) -> np.ndarray:
 
 
 def data_from_curves(pair: NullCurvePair, theta: float = 0.0,
-                     tol: float = 1e-12, probe_n: int = 64) -> RecoveredData:
+                     tol: float = 1e-12) -> RecoveredData:
     """Invert the Weierstrass assembly on a null-curve pair.
 
     After an optional rotation by theta about the timelike axis,

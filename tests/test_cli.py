@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from minface import gallery
+from minface import cli, gallery
 from minface.cli import main
+from minface.errors import MinfaceError
 from minface.expr import eval_value
 from minface.surface import get_data, load_spec
 
@@ -49,6 +50,18 @@ def test_curvature_at_singular_point_is_numeric_failure(spec_dir, capsys):
                  "--u", "1", "--v", "-1"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g1, u", [("u^400", "10"), ("sin(u)", "inf")])
+def test_evaluation_failure_is_numeric_failure(g1, u, tmp_path, capsys):
+    spec = {"mode": "weierstrass", "g1": g1, "g2": "v", "w1": "1", "w2": "1",
+            "domain": {"u": [0.5, 1.5], "v": [0.5, 1.5]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["curvature", "--spec", str(path),
+                 "--u", u, "--v", "0.5"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 # --- classify ----------------------------------------------------------------
@@ -207,3 +220,40 @@ def test_bad_spec_files_exit_two(tmp_path, capsys):
     assert main(["curvature", "--spec", str(bad_expr),
                  "--u", "0", "--v", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Exit 2: the surface description could not be read; 3: any other failure.
+_EXIT_CODES = {
+    "SpecFileError": 2, "ExpressionSyntaxError": 2, "NonIntegerExponent": 2,
+    "MultipleVariables": 2, "InvalidWeierstrassData": 2,
+    "InvalidCurveData": 2, "ModeUnsupported": 2,
+    "DomainError": 3, "DivisionByZero": 3, "NonFiniteResult": 3,
+    "DataConversionDegenerate": 3, "QuadratureError": 3, "SingularPoint": 3,
+    "SingularNeighborhood": 3, "NotSingular": 3, "NotCuspidalEdge": 3,
+    "FlatPoint": 3, "DegenerateAtPoint": 3, "DegenerateOnInterval": 3,
+    "DegenerateSingular": 3,
+}
+
+
+def test_every_library_error_has_a_pinned_exit_code():
+    assert {c.__name__ for c in _subclasses(MinfaceError)} == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", sorted(_subclasses(MinfaceError),
+                                       key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_library_errors_map_to_exit_codes_by_class(cls, spec_dir,
+                                                   monkeypatch, capsys):
+    def fail(args):
+        raise cls.__new__(cls, "boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "curvature", fail)
+    assert main(["curvature", "--spec", enneper_spec(spec_dir),
+                 "--u", "0", "--v", "0"]) == _EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err == "error: boom\n"

@@ -4,6 +4,7 @@ import math
 import random
 import string
 
+import numpy as np
 import pytest
 
 from minface.errors import (
@@ -106,6 +107,39 @@ def test_domain_error_while_evaluating():
         eval_value(parse("log(u)"), -1.0)
     with pytest.raises(DivisionByZero):
         eval_value(parse("1/u"), 0.0)
+
+
+def _both_entry_points(e, x):
+    """eval_value and eval_jet at x, as zero-argument calls."""
+    return (lambda: eval_value(e, x),
+            lambda: eval_jet(e, lift_variable(x)))
+
+
+@pytest.mark.parametrize("text, x, error, span", [
+    ("1 + log(u - 2)", 1.0, DomainError, (4, 14)),
+    ("u + 1/(u - 1)", 1.0, DivisionByZero, (4, 13)),
+    ("2*(u - 1)^-2", 1.0, DivisionByZero, (2, 12)),
+    ("sin(u)", math.inf, DomainError, (0, 6)),
+])
+def test_evaluation_error_is_located_at_its_node(text, x, error, span):
+    for call in _both_entry_points(parse(text), x):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.span == span
+
+
+@pytest.mark.parametrize("text, x", [
+    ("sqrt(u)", 1e-300),   # an outer derivative divides by an underflowed 0
+    ("log(u)", 1e-110),
+    ("u^400", 10.0),       # float ** overflows
+    ("u^400", np.float64(10.0)),
+    ("atan(u)", 1e60),
+    ("u*u", 1e200),        # the value itself overflows to inf
+])
+def test_unrepresentable_jet_raises_non_finite_result(text, x):
+    for call in _both_entry_points(parse(text), x):
+        with pytest.raises(NonFiniteResult):
+            call()
 
 
 def test_jet_matches_symbolic_oracle_spot():
