@@ -13,10 +13,11 @@ from .errors import (DataConversionDegenerate, DegenerateAtPoint,
                      InvalidCurveData, InvalidWeierstrassData, MinfaceError,
                      ModeUnsupported, MultipleVariables, NonFiniteResult,
                      NonIntegerExponent, NotCuspidalEdge, NotSingular,
-                     QuadratureError, SingularNeighborhood, SingularPoint,
-                     SpecFileError)
+                     OutsideDomain, QuadratureError, RootNotConverged,
+                     SingularNeighborhood, SingularPoint, SpecFileError)
 from .jets import Jet3, constant, lift_variable, shift_derivative
-from .expr import Expression, eval_jet, eval_value, parse, to_string
+from .expr import (Expression, eval_array, eval_jet, eval_value, parse,
+                   to_string)
 from .lorentz import (causal_character, det3, edot, enorm, mcross, mdot,
                       vec3)
 from .paracomplex import (SplitComplex, assemble_paraholomorphic, conjugate,
@@ -64,10 +65,12 @@ __all__ = [
     "DataConversionDegenerate", "ModeUnsupported", "QuadratureError",
     "SingularPoint", "SingularNeighborhood", "NotSingular",
     "NotCuspidalEdge", "FlatPoint", "DegenerateAtPoint",
-    "DegenerateOnInterval", "DegenerateSingular",
+    "DegenerateOnInterval", "DegenerateSingular", "RootNotConverged",
+    "OutsideDomain",
     # jets and expressions
     "Jet3", "constant", "lift_variable", "shift_derivative",
-    "Expression", "parse", "eval_jet", "eval_value", "to_string",
+    "Expression", "parse", "eval_jet", "eval_value", "eval_array",
+    "to_string",
     # geometry helpers
     "vec3", "mdot", "mcross", "edot", "enorm", "det3", "causal_character",
     "SplitComplex", "conjugate", "square_modulus", "is_zero_divisor",

@@ -8,6 +8,7 @@ quadrature trouble, point off the singular set).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -15,11 +16,12 @@ from typing import Optional, Sequence
 from . import gallery as gallery_mod
 from .errors import (ExpressionSyntaxError, InvalidCurveData,
                      InvalidWeierstrassData, MinfaceError, ModeUnsupported,
-                     MultipleVariables, NonIntegerExponent, SpecFileError)
+                     MultipleVariables, NonIntegerExponent, OutsideDomain,
+                     SpecFileError)
 from .mesh import export_fields_csv, export_obj, sample_grid
 from .singular import (SingularClassification, classify_singular,
                        trace_singular_set, write_singular_csv)
-from .surface import conjugate_data, load_spec, save_spec
+from .surface import as_pair, conjugate_data, load_spec, save_spec
 from .verify import format_results, run_battery
 
 _PARSE_ERRORS = (SpecFileError, ExpressionSyntaxError, NonIntegerExponent,
@@ -63,6 +65,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="minface",
                 description="Timelike minimal surfaces in Lorentz-Minkowski "
@@ -87,13 +101,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("classify", help="classify one singular point")
     add_spec(sp)
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--v", type=float, required=True)
+    sp.add_argument("--u", type=_finite_float, required=True)
+    sp.add_argument("--v", type=_finite_float, required=True)
 
     sp = sub.add_parser("curvature", help="Gaussian curvature at a point")
     add_spec(sp)
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--v", type=float, required=True)
+    sp.add_argument("--u", type=_finite_float, required=True)
+    sp.add_argument("--v", type=_finite_float, required=True)
     sp.add_argument("--method", default="closed",
                     choices=["closed", "extrinsic", "intrinsic"])
 
@@ -129,15 +143,26 @@ def _cmd_singular(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _load_at_point(args):
+    """The surface of --spec; --u/--v must lie in its domain."""
     surface = load_spec(args.spec)
+    dom = as_pair(surface).domain
+    if not dom.contains(args.u, args.v):
+        raise OutsideDomain(
+            f"point ({args.u!r}, {args.v!r}) lies outside the domain "
+            f"[{dom.u_min!r}, {dom.u_max!r}] x [{dom.v_min!r}, {dom.v_max!r}]")
+    return surface
+
+
+def _cmd_classify(args) -> int:
+    surface = _load_at_point(args)
     report = classify_singular(surface, args.u, args.v)
     print(_TAG_WORDS[report.tag])
     return 0
 
 
 def _cmd_curvature(args) -> int:
-    surface = load_spec(args.spec)
+    surface = _load_at_point(args)
     from .curvature import gaussian_curvature
 
     k = gaussian_curvature(surface, args.u, args.v, method=args.method)

@@ -60,6 +60,21 @@ def _unpack(jets) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c1, c2, c3
 
 
+def curve_arrays(surface: Surface, axis: str, ts
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Velocity, acceleration and jerk of a generating curve at every t.
+
+    Each is a (len(ts), 3) array whose rows equal ``_unpack`` of the
+    per-point velocity jets bit for bit.
+    """
+    if axis not in ("u", "v"):
+        raise ValueError(f"axis must be 'u' or 'v', not {axis!r}")
+    pair = as_pair(surface)
+    jets = (pair.phi_prime_array if axis == "u" else pair.psi_prime_array)(ts)
+    return tuple(np.stack([getattr(j, slot) for j in jets], axis=-1)
+                 for slot in ("value", "d1", "d2"))
+
+
 def _require_regular(surface: Surface, u: float, v: float) -> float:
     """Lambda at (u, v), raising SingularPoint where it is negligible."""
     pair = as_pair(surface)
@@ -141,6 +156,36 @@ def gaussian_curvature(surface: Surface, u: float, v: float,
         return gaussian_curvature_intrinsic_fd(surface, u, v, h)
 
     raise ValueError(f"unknown method {method!r}")
+
+
+# The closed and extrinsic routes on arrays of points, for the mesh and the
+# battery. ``power`` computes their ``**``: jets.float_pow (libm, per element)
+# makes each element bit-identical to the per-point route; the mesh passes
+# operator.pow, numpy's own power, which differs from libm by an ulp on a
+# few per cent of inputs. Run under np.errstate(all="ignore").
+
+
+def closed_k_arrays(g1, g1p, w1, g2, g2p, w2, power):
+    """K = 4 g1' g2' / (w1 w2 (1 - g1 g2)^4) elementwise, and its denominator.
+
+    The arguments are data values and derivatives that broadcast together.
+    """
+    denom = w1 * w2 * power(1.0 - g1 * g2, 4)
+    return 4.0 * g1p * g2p / denom, denom
+
+
+def extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu, power):
+    """K = -Q R / Lambda^2 elementwise, and where it exists.
+
+    Stacks of 3-vectors that broadcast together, with the normal and its
+    mask from ``surface.normal_arrays``. K exists where
+    gaussian_curvature_extrinsic returns one (where it raises SingularPoint
+    it does not).
+    """
+    lam = mdot(f_u, f_v)
+    scale = enorm(f_u) * enorm(f_v)
+    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / power(lam, 2)
+    return k, has_nu & (np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300))
 
 
 # --- flat points --------------------------------------------------------------

@@ -135,7 +135,28 @@ class QuadratureError(MinfaceError, ArithmeticError):
         )
 
 
+class RootNotConverged(MinfaceError, ArithmeticError):
+    """A one-dimensional root solve ran out of iterations before converging.
+
+    Carries the bracketing interval it was given, its last iterate and the
+    residual there.
+    """
+
+    def __init__(self, interval, t, residual):
+        self.interval = interval
+        self.t = t
+        self.residual = residual
+        super().__init__(
+            f"root on [{interval[0]!r}, {interval[1]!r}] did not converge: "
+            f"last iterate {t!r}, residual {residual!r}"
+        )
+
+
 # --- geometry preconditions ---------------------------------------------------
+
+
+class OutsideDomain(MinfaceError, ValueError):
+    """A parameter point lies outside the surface's domain rectangle."""
 
 
 class SingularPoint(MinfaceError, ValueError):

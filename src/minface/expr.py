@@ -19,7 +19,10 @@ Each ``Expression`` is compiled once, when it is built, into one closure from
 a ``Jet3`` to a ``Jet3`` (univariate Taylor-mode differentiation through the
 ``jets`` operations). ``eval_jet`` calls it; ``eval_value`` reads the value
 slot of the jet at the variable, so a value is reported only where its
-third-order jet is finite.
+third-order jet is finite. The same compiler, given the array operations of
+``jets``, builds a second closure on first use: ``eval_array`` evaluates the
+jets at every point of an array at once, each element bit-identical to
+``eval_jet`` at that point.
 
 Parse errors carry the byte offset of the offending token and a hint of what
 was expected. Every evaluation error is typed: ``DomainError`` (log of a
@@ -33,6 +36,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from . import jets
 from .errors import (DivisionByZero, DomainError, ExpressionSyntaxError,
@@ -98,7 +103,8 @@ class Expression:
     """A parsed expression plus its single variable name (None if constant).
 
     The tree is compiled once, on construction, into the jet function that
-    ``eval_jet`` and ``eval_value`` call.
+    ``eval_jet`` and ``eval_value`` call, and on the first ``eval_array``
+    into its array counterpart.
     """
 
     root: Node
@@ -106,9 +112,11 @@ class Expression:
     text: str = field(default="", compare=False)
     _jet: Callable[[Jet3], Jet3] = field(init=False, repr=False,
                                          compare=False)
+    _array_jet: Optional[Callable[[Jet3], Jet3]] = field(
+        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_jet", _compile(self.root))
+        object.__setattr__(self, "_jet", _compile(self.root, jets.SCALAR_OPS))
 
     def __str__(self):
         return to_string(self)
@@ -295,15 +303,30 @@ def eval_value(e: Expression, x: float) -> float:
     return e._jet(jets.lift_variable(x)).value
 
 
-_BINARY = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
+def eval_array(e: Expression, ts) -> Jet3:
+    """Jets of e at every point of ts: a Jet3 of float64 arrays of its shape.
+
+    Each element is bit-identical to ``eval_jet(e, lift_variable(t))``. If
+    any element fails, the whole call raises the error the scalar path
+    raises (typed, at the span of the failing node), naming the first
+    offending element.
+    """
+    if e._array_jet is None:
+        object.__setattr__(e, "_array_jet", _compile(e.root, jets.ARRAY_OPS))
+    ts = np.array(ts, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        j = e._array_jet(Jet3(ts, 1.0, 0.0, 0.0))
+    return Jet3(*(s if np.shape(s) == ts.shape else np.full(ts.shape, s)
+                  for s in j.as_tuple()))
 
 
-def _compile(node: Node) -> Callable[[Jet3], Jet3]:
+def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
     """The jet function of the tree under node, as one closure.
 
-    Literals are lifted to jets here, once. Operations that can fail run
-    through ``_located``; children are evaluated outside it, so an error
-    carries the span of the innermost node that raised it.
+    ops is ``jets.SCALAR_OPS`` or ``jets.ARRAY_OPS``. Literals are lifted to
+    jets here, once. Operations that can fail run through ``_located``;
+    children are evaluated outside it, so an error carries the span of the
+    innermost node that raised it.
     """
     if isinstance(node, Num):
         c = jets.constant(node.value)
@@ -311,21 +334,21 @@ def _compile(node: Node) -> Callable[[Jet3], Jet3]:
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Neg):
-        f = _compile(node.child)
-        return lambda x: jets.neg(f(x))
+        f, neg = _compile(node.child, ops), ops["neg"]
+        return lambda x: neg(f(x))
     if isinstance(node, BinOp):
-        f, g = _compile(node.left), _compile(node.right)
-        op = _BINARY[node.op]
+        f, g = _compile(node.left, ops), _compile(node.right, ops)
+        op = ops[node.op]
         if node.op == "/":
             op = _located(op, node)
         return lambda x: op(f(x), g(x))
     if isinstance(node, Pow):
-        f, n = _compile(node.base), node.exponent
-        op = _located(jets.int_pow, node)
+        f, n = _compile(node.base, ops), node.exponent
+        op = _located(ops["^"], node)
         return lambda x: op(f(x), n)
     if isinstance(node, Call):
-        f = _compile(node.arg)
-        op = _located(jets.ELEMENTARY[node.fn], node)
+        f = _compile(node.arg, ops)
+        op = _located(ops[node.fn], node)
         return lambda x: op(f(x))
     raise TypeError(f"unknown node {node!r}")
 

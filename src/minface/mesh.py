@@ -10,14 +10,18 @@ numpy broadcasts of those axis samples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import FLAT_TOL
-from .lorentz import METRIC, enorm, mdot
-from .surface import REGULAR_TOL, Surface, as_pair, get_data
+from .curvature import (FLAT_TOL, closed_k_arrays, curve_arrays,
+                        extrinsic_k_arrays)
+from .expr import eval_array
+from .lorentz import enorm, mdot
+from .surface import (REGULAR_TOL, Surface, as_pair, get_data,
+                      normal_arrays)
 
 # A vertex counts as singular (its K cell is left absent) when the proximity
 # proxy |g1 g2 - 1| falls below this.
@@ -57,20 +61,6 @@ class SurfaceMesh:
                 for i in range(len(self.positions))]
 
 
-def _axis_jets(curve, ts) -> Tuple[np.ndarray, np.ndarray]:
-    """Velocity and acceleration of a null curve at each t, as (n, 3) arrays."""
-    jets = [curve(t) for t in ts]
-    return (np.array([[c.value for c in j] for j in jets]),
-            np.array([[c.d1 for c in j] for j in jets]))
-
-
-def _data_axis(g_jet, w_jet, ts):
-    """g, g' and w of one side of the Weierstrass data at each t."""
-    gs = [g_jet(t) for t in ts]
-    return (np.array([g.value for g in gs]), np.array([g.d1 for g in gs]),
-            np.array([w_jet(t).value for t in ts]))
-
-
 def _curve_flat(vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """Per axis point, whether the curve degenerates (as flat_classify)."""
     scale = (1.0 + enorm(vel) + enorm(acc)) ** 2
@@ -82,25 +72,6 @@ def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
     return tuple(x if k else None
                  for x, k in zip(values.ravel().tolist(),
                                  keep.ravel().tolist()))
-
-
-def _extrinsic_k(vel_u, acc_u, vel_v, acc_v):
-    """K = -Q R / Lambda^2 at every vertex of a raw curve pair.
-
-    Follows jets_at and gaussian_curvature_extrinsic step by step; returns K
-    and where it exists (where those raise SingularPoint it does not).
-    """
-    f_u, f_uu = 0.5 * vel_u[:, None, :], 0.5 * acc_u[:, None, :]
-    f_v, f_vv = 0.5 * vel_v[None, :, :], 0.5 * acc_v[None, :, :]
-    lam = mdot(f_u, f_v)
-    scale = enorm(f_u) * enorm(f_v)
-    w_l = np.cross(f_u, f_v) * METRIC
-    s2 = mdot(w_l, w_l)
-    nu = w_l / np.sqrt(s2)[..., None]
-    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / lam ** 2
-    ok = ((s2 > (REGULAR_TOL * np.maximum(scale, 1e-30)) ** 2)
-          & (np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)))
-    return k, ok
 
 
 def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
@@ -123,32 +94,40 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     psi = np.array([pair.psi_delta(v) for v in vs])
     positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
     params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
-    vel_u, acc_u = _axis_jets(pair.phi_prime, us)
-    vel_v, acc_v = _axis_jets(pair.psi_prime, vs)
+    vel_u, acc_u, _ = curve_arrays(pair, "u", us)
+    vel_v, acc_v, _ = curve_arrays(pair, "v", vs)
     lam = 0.25 * mdot(vel_u[:, None, :], vel_v[None, :, :])
     scale = enorm(vel_u)[:, None] * enorm(vel_v)[None, :]
     regular = np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)
     tags = (_curve_flat(vel_u, acc_u).astype(int)[:, None]
             + _curve_flat(vel_v, acc_v)[None, :])
+    # K with numpy's ** (operator.pow), within 4 ulp of the per-point routes
     with np.errstate(all="ignore"):
         if data is not None:
-            g1, g1p, w1 = _data_axis(data.g1_jet, data.w1_jet, us)
-            g2, g2p, w2 = _data_axis(data.g2_jet, data.w2_jet, vs)
-            gg = np.multiply.outer(g1, g2)
+            g1, g2 = eval_array(data.g1, us), eval_array(data.g2, vs)
+            w1 = eval_array(data.w1, us).value
+            w2 = eval_array(data.w2, vs).value
+            gg = np.multiply.outer(g1.value, g2.value)
             proxies = np.abs(gg - 1.0)
             one_m = 1.0 - gg
             # the closed route of gaussian_curvature; off the singular band
             # it raises SingularPoint only where denom is 0
-            denom = np.multiply.outer(w1, w2) * one_m ** 4
-            k = (4.0 * g1p)[:, None] * g2p[None, :] / denom
+            k, denom = closed_k_arrays(
+                g1.value[:, None], g1.d1[:, None], w1[:, None],
+                g2.value[None, :], g2.d1[None, :], w2[None, :], operator.pow)
             has_k = (proxies > MESH_SINGULAR_TOL) & (denom != 0.0)
             density = (np.multiply.outer(-0.5 * w1, w2) * one_m
                        * np.sqrt(one_m ** 2
-                                 + 2.0 * np.add.outer(g1, g2) ** 2))
+                                 + 2.0 * np.add.outer(g1.value, g2.value)
+                                 ** 2))
             densities = tuple(density.ravel().tolist())
         else:
             proxies = np.abs(lam)
-            k, has_k = _extrinsic_k(vel_u, acc_u, vel_v, acc_v)
+            f_u, f_uu = 0.5 * vel_u[:, None, :], 0.5 * acc_u[:, None, :]
+            f_v, f_vv = 0.5 * vel_v[None, :, :], 0.5 * acc_v[None, :, :]
+            normal, has_normal = normal_arrays(f_u, f_v, operator.pow)
+            k, has_k = extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, normal,
+                                          has_normal, operator.pow)
             densities = (None,) * proxies.size
     idx = np.arange(proxies.size).reshape(nu + 1, nv + 1)
     faces = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],

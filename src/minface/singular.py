@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (DegenerateSingular, DivisionByZero, DomainError,
                      ModeUnsupported, NonFiniteResult, NotCuspidalEdge,
-                     NotSingular, SingularPoint)
-from .expr import eval_value
+                     NotSingular, RootNotConverged, SingularPoint)
+from .expr import eval_array, eval_value
 from .jets import shift_derivative
 from .lorentz import det3, enorm, vec3
 from .surface import (RealWeierstrassData, Surface, jets_at, require_data)
@@ -330,7 +330,12 @@ class SingularCurve:
 
 def _edge_root(g_fn, g_other: float, lo: float, hi: float,
                jet_fn, tol: float = 1e-12) -> Optional[float]:
-    """Root of g(t)*g_other - 1 on [lo, hi] by safeguarded Newton."""
+    """Root of g(t)*g_other - 1 on [lo, hi] by safeguarded Newton.
+
+    None if h does not change sign on the edge; RootNotConverged if 60
+    iterations leave |h| >= tol.
+    """
+    edge = (lo, hi)
 
     def h(t: float) -> float:
         return g_fn(t) * g_other - 1.0
@@ -342,8 +347,9 @@ def _edge_root(g_fn, g_other: float, lo: float, hi: float,
         return hi
     if (h_lo > 0) == (h_hi > 0):
         return None
-    t = 0.5 * (lo + hi)
+    t_next = 0.5 * (lo + hi)
     for _ in range(60):
+        t = t_next
         jt = jet_fn(t)
         ht = jt.value * g_other - 1.0
         if abs(ht) < tol:
@@ -354,13 +360,12 @@ def _edge_root(g_fn, g_other: float, lo: float, hi: float,
             hi = t
         dh = jt.d1 * g_other
         if dh != 0.0:
-            t_new = t - ht / dh
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
+            t_next = t - ht / dh
+            if not (lo < t_next < hi):
+                t_next = 0.5 * (lo + hi)
         else:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    return t
+            t_next = 0.5 * (lo + hi)
+    raise RootNotConverged(edge, t, ht)
 
 
 # marching-squares connectivity: case index bits are the > 0 flags of the
@@ -396,8 +401,8 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
         raise ValueError("grid_n must be at least 16")
     us = d.domain.u_grid(grid_n + 1)
     vs = d.domain.v_grid(grid_n + 1)
-    g1_vals = np.array([eval_value(d.g1, u) for u in us])
-    g2_vals = np.array([eval_value(d.g2, v) for v in vs])
+    g1_vals = eval_array(d.g1, us).value
+    g2_vals = eval_array(d.g2, vs).value
     # g1 g2 > 1 exactly when h = g1 g2 - 1 > 0, so no grid-sized float h
     # array is needed besides the product
     pos = np.multiply.outer(g1_vals, g2_vals) > 1.0

@@ -32,9 +32,10 @@ from . import expr as expr_mod
 from .errors import (DataConversionDegenerate, InvalidCurveData,
                      InvalidWeierstrassData, ModeUnsupported, SingularPoint,
                      SpecFileError)
-from .expr import Expression, eval_jet, eval_value, parse
-from .jets import Jet3, lift_variable, shift_derivative
-from .lorentz import enorm, mdot, vec3
+from .expr import Expression, eval_array, eval_jet, eval_value, parse
+from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, lift_variable,
+                   shift_derivative)
+from .lorentz import METRIC, enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
 QUAD_TOL = 1e-12
@@ -111,17 +112,16 @@ class RealWeierstrassData:
             raise InvalidWeierstrassData("base parameters outside the domain")
         us = self.domain.u_grid(_VALIDATION_GRID)
         vs = self.domain.v_grid(_VALIDATION_GRID)
-        w1_vals = np.array([eval_value(self.w1, u) for u in us])
-        w2_vals = np.array([eval_value(self.w2, v) for v in vs])
+        w1_vals = eval_array(self.w1, us).value
+        w2_vals = eval_array(self.w2, vs).value
         for name, vals in (("w1", w1_vals), ("w2", w2_vals)):
             if np.any(vals == 0.0):
                 raise InvalidWeierstrassData(f"{name} vanishes on the domain")
             if np.any(vals > 0) and np.any(vals < 0):
                 raise InvalidWeierstrassData(
                     f"{name} changes sign on the domain (interior zero)")
-        g1_vals = np.array([eval_value(self.g1, u) for u in us])
-        g2_vals = np.array([eval_value(self.g2, v) for v in vs])
-        prod = np.outer(g1_vals, g2_vals) - 1.0
+        prod = np.outer(eval_array(self.g1, us).value,
+                        eval_array(self.g2, vs).value) - 1.0
         if np.max(np.abs(prod)) == 0.0:
             raise InvalidWeierstrassData(
                 "g1*g2 - 1 vanishes identically; the map is nowhere regular")
@@ -154,11 +154,15 @@ class NullCurvePair:
     phi', first derivatives phi'', second derivatives phi'''. ``prime_order``
     records how many derivative slots beyond the value are trustworthy (3 in
     Weierstrass mode; 2 for raw position expressions, whose shifted jets fill
-    the top slot with 0).
+    the top slot with 0). ``phi_prime_array(us)`` returns the same jets at
+    every element of an array, as jets of arrays, each element bit-identical
+    to ``phi_prime`` at that element.
     """
 
     phi_prime: Callable[[float], tuple]
     psi_prime: Callable[[float], tuple]
+    phi_prime_array: Callable[[np.ndarray], tuple]
+    psi_prime_array: Callable[[np.ndarray], tuple]
     domain: Rect
     base: tuple
     f0: np.ndarray
@@ -223,22 +227,49 @@ def require_data(surface: Surface, what: str) -> RealWeierstrassData:
 # --- constructors ---------------------------------------------------------
 
 
+_ONE, _MINUS_ONE = constant(1.0), constant(-1.0)
+_TWO, _MINUS_TWO = constant(2.0), constant(-2.0)
+
+
+def _phi_jets(ops, g: Jet3, w: Jet3) -> tuple:
+    """w (-1 - g^2, 1 - g^2, 2 g) with the jet operations ops."""
+    sub, mul = ops["-"], ops["*"]
+    gg = mul(g, g)
+    return (mul(sub(_MINUS_ONE, gg), w), mul(sub(_ONE, gg), w),
+            mul(mul(_TWO, g), w))
+
+
+def _psi_jets(ops, g: Jet3, w: Jet3) -> tuple:
+    """w (1 + g^2, 1 - g^2, -2 g) with the jet operations ops."""
+    add, sub, mul = ops["+"], ops["-"], ops["*"]
+    gg = mul(g, g)
+    return (mul(add(_ONE, gg), w), mul(sub(_ONE, gg), w),
+            mul(mul(_MINUS_TWO, g), w))
+
+
 def curves_from_data(d: RealWeierstrassData) -> NullCurvePair:
     """Velocity jets of the null curves determined by the data functions."""
 
     def phi_prime(u: float):
-        g = d.g1_jet(u)
-        w = d.w1_jet(u)
-        gg = g * g
-        return ((-1.0 - gg) * w, (1.0 - gg) * w, 2.0 * g * w)
+        return _phi_jets(SCALAR_OPS, d.g1_jet(u), d.w1_jet(u))
 
     def psi_prime(v: float):
-        g = d.g2_jet(v)
-        w = d.w2_jet(v)
-        gg = g * g
-        return ((1.0 + gg) * w, (1.0 - gg) * w, -2.0 * g * w)
+        return _psi_jets(SCALAR_OPS, d.g2_jet(v), d.w2_jet(v))
 
-    return NullCurvePair(phi_prime, psi_prime, d.domain, d.base, d.f0.copy(),
+    # a non-finite element fails the array ops' finiteness test; numpy
+    # must not warn about it first
+    def phi_prime_array(us):
+        with np.errstate(all="ignore"):
+            return _phi_jets(ARRAY_OPS, eval_array(d.g1, us),
+                             eval_array(d.w1, us))
+
+    def psi_prime_array(vs):
+        with np.errstate(all="ignore"):
+            return _psi_jets(ARRAY_OPS, eval_array(d.g2, vs),
+                             eval_array(d.w2, vs))
+
+    return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
+                         psi_prime_array, d.domain, d.base, d.f0.copy(),
                          source="weierstrass", prime_order=3, data=d)
 
 
@@ -275,6 +306,12 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
         return tuple(shift_derivative(eval_jet(e, lift_variable(v)))
                      for e in psi)
 
+    def phi_prime_array(us):
+        return tuple(shift_derivative(eval_array(e, us)) for e in phi)
+
+    def psi_prime_array(vs):
+        return tuple(shift_derivative(eval_array(e, vs)) for e in psi)
+
     for name, fn, grid in (("phi", phi_prime, domain.u_grid(_VALIDATION_GRID)),
                            ("psi", psi_prime, domain.v_grid(_VALIDATION_GRID))):
         for t in grid:
@@ -292,7 +329,8 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
     base = (float(base[0]), float(base[1]))
     if f0 is None:
         f0 = 0.5 * (phi_position(base[0]) + psi_position(base[1]))
-    return NullCurvePair(phi_prime, psi_prime, domain, base,
+    return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
+                         psi_prime_array, domain, base,
                          np.asarray(f0, dtype=float), source="curves",
                          prime_order=2, phi_position=phi_position,
                          psi_position=psi_position)
@@ -443,6 +481,29 @@ def jets_at(surface: Surface, u: float, v: float,
         mode = "curves"
     return SurfaceJet(u, v, f, f_u, f_v, f_uu, f_vv, f_uv, lam, n, nu, Q, R,
                       mode)
+
+
+def normal_arrays(f_u, f_v, power, g1=None, g2=None):
+    """The unit normal nu of jets_at at every point, and where it exists.
+
+    f_u and f_v are stacks of 3-vectors (trailing axis of size 3) that
+    broadcast. nu comes from the data values g1, g2 when given, else from
+    the Lorentzian cross product, with jets_at's tests; where it does not
+    exist (jets_at gives None) it holds inf or NaN. ``power`` computes the
+    square in the raw-mode test; ``jets.float_pow`` makes every element
+    bit-identical to jets_at. Run under np.errstate(all="ignore").
+    """
+    if g1 is not None:
+        gg = g1 * g2
+        denom = np.abs(1.0 - gg)
+        nu = (np.stack([g1 + g2, g1 - g2, -1.0 - gg], axis=-1)
+              / denom[..., None])
+        return nu, denom > 1e-14 * (1.0 + np.abs(gg))
+    w_l = np.cross(f_u, f_v) * METRIC
+    s2 = mdot(w_l, w_l)
+    scale = enorm(f_u) * enorm(f_v)
+    return (w_l / np.sqrt(s2)[..., None],
+            s2 > power(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
 
 
 def mean_curvature_residual(surface: Surface, u: float, v: float) -> float:

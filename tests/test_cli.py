@@ -52,16 +52,43 @@ def test_curvature_at_singular_point_is_numeric_failure(spec_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("g1, u", [("u^400", "10"), ("sin(u)", "inf")])
-def test_evaluation_failure_is_numeric_failure(g1, u, tmp_path, capsys):
+def _write_data_spec(tmp_path, g1: str) -> str:
     spec = {"mode": "weierstrass", "g1": g1, "g2": "v", "w1": "1", "w2": "1",
             "domain": {"u": [0.5, 1.5], "v": [0.5, 1.5]}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["curvature", "--spec", str(path),
+    return str(path)
+
+
+# in the domain but off the 64-point validation grid
+@pytest.mark.parametrize("g1, u", [("1/(u-0.7)", "0.7"),
+                                   ("(u-0.7)^-2", "0.7")])
+def test_evaluation_failure_is_numeric_failure(g1, u, tmp_path, capsys):
+    assert main(["curvature", "--spec", _write_data_spec(tmp_path, g1),
                  "--u", u, "--v", "0.5"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["curvature", "classify"])
+def test_point_outside_domain_exits_three(command, tmp_path, capsys):
+    # u^400 would overflow at u = 10; the point is rejected before that
+    assert main([command, "--spec", _write_data_spec(tmp_path, "u^400"),
+                 "--u", "10", "--v", "0.5"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: point (10.0, 0.5) lies outside the domain "
+                   "[0.5, 1.5] x [0.5, 1.5]"]
+
+
+@pytest.mark.parametrize("command, u, v", [("curvature", "inf", "0.5"),
+                                           ("curvature", "1", "1e999"),
+                                           ("classify", "nan", "1")])
+def test_non_finite_point_is_usage_error(command, u, v, spec_dir, capsys):
+    assert main([command, "--spec", enneper_spec(spec_dir),
+                 "--u", u, "--v", v]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "must be finite" in err[0]
 
 
 # --- classify ----------------------------------------------------------------
@@ -237,7 +264,7 @@ _EXIT_CODES = {
     "DataConversionDegenerate": 3, "QuadratureError": 3, "SingularPoint": 3,
     "SingularNeighborhood": 3, "NotSingular": 3, "NotCuspidalEdge": 3,
     "FlatPoint": 3, "DegenerateAtPoint": 3, "DegenerateOnInterval": 3,
-    "DegenerateSingular": 3,
+    "DegenerateSingular": 3, "RootNotConverged": 3, "OutsideDomain": 3,
 }
 
 

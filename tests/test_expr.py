@@ -6,6 +6,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minface.errors import (
     DivisionByZero,
@@ -15,7 +17,8 @@ from minface.errors import (
     NonFiniteResult,
     NonIntegerExponent,
 )
-from minface.expr import eval_jet, eval_value, negated, parse, to_string
+from minface.expr import (FUNCTIONS, eval_array, eval_jet, eval_value,
+                          negated, parse, to_string)
 from minface.jets import lift_variable
 
 from oracles import exact_jet
@@ -109,10 +112,11 @@ def test_domain_error_while_evaluating():
         eval_value(parse("1/u"), 0.0)
 
 
-def _both_entry_points(e, x):
-    """eval_value and eval_jet at x, as zero-argument calls."""
+def _entry_points(e, x):
+    """eval_value, eval_jet and eval_array at x, as zero-argument calls."""
     return (lambda: eval_value(e, x),
-            lambda: eval_jet(e, lift_variable(x)))
+            lambda: eval_jet(e, lift_variable(x)),
+            lambda: eval_array(e, [2.5, x, 3.0]))
 
 
 @pytest.mark.parametrize("text, x, error, span", [
@@ -122,10 +126,13 @@ def _both_entry_points(e, x):
     ("sin(u)", math.inf, DomainError, (0, 6)),
 ])
 def test_evaluation_error_is_located_at_its_node(text, x, error, span):
-    for call in _both_entry_points(parse(text), x):
+    messages = set()
+    for call in _entry_points(parse(text), x):
         with pytest.raises(error) as exc:
             call()
         assert exc.value.span == span
+        messages.add(str(exc.value))
+    assert len(messages) == 1  # the array error names the offending element
 
 
 @pytest.mark.parametrize("text, x", [
@@ -137,7 +144,7 @@ def test_evaluation_error_is_located_at_its_node(text, x, error, span):
     ("u*u", 1e200),        # the value itself overflows to inf
 ])
 def test_unrepresentable_jet_raises_non_finite_result(text, x):
-    for call in _both_entry_points(parse(text), x):
+    for call in _entry_points(parse(text), x):
         with pytest.raises(NonFiniteResult):
             call()
 
@@ -240,3 +247,68 @@ def test_fuzz_parser_structured_mutations():
         except (ExpressionSyntaxError, NonIntegerExponent, MultipleVariables,
                 DomainError, DivisionByZero, NonFiniteResult):
             pass
+
+
+# --- the array path --------------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.just("u"),
+    st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: f"({c!r})"))
+
+
+def _nodes(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children)
+          .map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        children.map(lambda a: f"-({a})"),
+        st.tuples(children, st.integers(-3, 4))
+          .map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(FUNCTIONS), children)
+          .map(lambda t: f"{t[0]}({t[1]})"))
+
+
+_FAILURES = (DomainError, DivisionByZero, NonFiniteResult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _nodes, max_leaves=8),
+       st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1,
+                max_size=6))
+def test_array_jets_equal_scalar_jets_bit_for_bit(text, xs):
+    e = parse(text)
+    scalar = []
+    for x in xs:
+        try:
+            scalar.append(eval_jet(e, lift_variable(x)).as_tuple())
+        except _FAILURES:
+            with pytest.raises(_FAILURES):
+                eval_array(e, xs)
+            return
+    got = eval_array(e, xs)
+    for slot, want in zip(got.as_tuple(), np.array(scalar).T):
+        assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
+
+
+def test_array_jets_of_a_constant_fill_the_shape():
+    j = eval_array(parse("2*pi"), np.zeros((2, 3)))
+    assert [s.shape for s in j.as_tuple()] == [(2, 3)] * 4
+    assert np.all(j.value == 2 * math.pi) and not np.any(j.d1)
+
+
+@pytest.mark.parametrize("fn", FUNCTIONS + ("^",))
+def test_array_jets_equal_scalar_jets_on_a_dense_grid(fn):
+    # an inner function with varying derivatives, so every ** and libm call
+    # of the outer rules sees many distinct arguments
+    inner = "(u^2/3 + u/5 + 0.6)"
+    text = f"{inner}^-3" if fn == "^" else f"{fn}({inner})"
+    e, xs = parse(text), np.linspace(-1.0, 1.2, 4001)
+    got = eval_array(e, xs)
+    want = np.array([eval_jet(e, lift_variable(x)).as_tuple() for x in xs]).T
+    for slot, w in zip(got.as_tuple(), want):
+        assert slot.tobytes() == w.tobytes()
+
+
+def test_array_error_names_the_first_offending_element():
+    with pytest.raises(DomainError) as exc:
+        eval_array(parse("1 + log(u - 2)"), [3.0, 1.0, 0.5, 2.5])
+    assert (exc.value.value, exc.value.span) == (-1.0, (4, 14))

@@ -15,10 +15,13 @@ from minface.errors import (
     ModeUnsupported,
     NotCuspidalEdge,
     NotSingular,
+    RootNotConverged,
 )
-from minface.expr import eval_value
+from minface.expr import eval_jet, eval_value, parse
+from minface.jets import lift_variable
 from minface.singular import (
     MainTheoremReport,
+    _edge_root,
     _newton_special,
     SingularClassification,
     all_reports,
@@ -369,3 +372,15 @@ def test_transversal_curvature_blowup(enneper):
     for t in (1e-1, 1e-2, 1e-3):
         k = gaussian_curvature(enneper, 1.0 + t, -1.0)
         assert k == pytest.approx(-16.0 / t ** 4, rel=1e-6)
+
+
+def test_edge_root_that_cannot_converge_raises():
+    # g1 g2 = 1 at t = 0.3 - 5e-18, between two floats: |h| >= 1e-12 at
+    # every iterate
+    g = parse("1e17*(t-0.3)+1.5")
+    with pytest.raises(RootNotConverged) as exc:
+        _edge_root(lambda t: eval_value(g, t), 1.0, 0.0, 1.0,
+                   lambda t: eval_jet(g, lift_variable(t)))
+    assert exc.value.interval == (0.0, 1.0)
+    assert abs(exc.value.residual) >= 1e-12
+    assert "[0.0, 1.0]" in str(exc.value)

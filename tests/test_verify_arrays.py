@@ -1,0 +1,339 @@
+"""The vectorized battery checks against per-point reference loops.
+
+Each reference below is the per-point loop the check ran before it was
+vectorized, written with the public per-point functions. The vectorized
+check must return an equal CheckResult: the same points, skips, counts and
+worst errors, bit for bit.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from minface import expr, gallery, surface, verify
+from minface.curvature import (_angle_rate_sign, axis_curve, curve_arrays,
+                               energy_gauge, gaussian_curvature,
+                               milnor_sign_check, reparametrize,
+                               sign_prediction)
+from minface.errors import (DegenerateAtPoint, FlatPoint, SingularNeighborhood,
+                            SingularPoint)
+from minface.expr import eval_value
+from minface.lorentz import enorm, mdot
+from minface.surface import as_pair, get_data, mean_curvature_residual
+from minface.verify import (CheckResult, check_curvature_routes,
+                            check_energy_gauge, check_milnor,
+                            check_minimality, check_null_generators,
+                            check_sign_theorem, make_accumulation_data,
+                            make_random_poly_data, sample_regular_points)
+
+SURFACES = {name: gallery.get(name) for name in gallery.names()}
+SURFACES.update({f"poly-{s}": make_random_poly_data(np.random.default_rng(s))
+                 for s in (3, 17, 29, 41)})
+SURFACES.update({f"acc-{s}": make_accumulation_data(np.random.default_rng(s))
+                 for s in (5, 8)})
+
+
+# --- per-point references ------------------------------------------------------
+
+
+def _acc_quartic_root(surf, axis, t):
+    pair = as_pair(surf)
+    j = pair.phi_prime(t) if axis == "u" else pair.psi_prime(t)
+    acc = np.array([j[0].d1, j[1].d1, j[2].d1])
+    q4 = mdot(acc, acc)
+    return q4 ** 0.25 if q4 > 0 else 0.0
+
+
+def reference_sampler(surf, n, rng, nonflat=True, singular_margin=0.05,
+                      flat_floor=0.1):
+    pair = as_pair(surf)
+    d = get_data(surf)
+    dom = pair.domain
+    points = []
+    attempts = 0
+    while len(points) < n and attempts < 80 * n:
+        attempts += 1
+        u = float(rng.uniform(dom.u_min, dom.u_max))
+        v = float(rng.uniform(dom.v_min, dom.v_max))
+        if d is not None:
+            prod = eval_value(d.g1, u) * eval_value(d.g2, v)
+            if abs(1.0 - prod) < singular_margin * (1.0 + abs(prod)):
+                continue
+        else:
+            f_u = 0.5 * pair.phi_prime_value(u)
+            f_v = 0.5 * pair.psi_prime_value(v)
+            lam = mdot(f_u, f_v)
+            if abs(lam) < singular_margin * max(enorm(f_u) * enorm(f_v),
+                                                1e-30):
+                continue
+        if nonflat:
+            if (_acc_quartic_root(surf, "u", u) < flat_floor
+                    or _acc_quartic_root(surf, "v", v) < flat_floor):
+                continue
+        points.append((u, v))
+    return points
+
+
+def reference_null_generators(surf, n=100, tol=1e-10, seed=0):
+    pair = as_pair(surf)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        u = float(rng.uniform(pair.domain.u_min, pair.domain.u_max))
+        v = float(rng.uniform(pair.domain.v_min, pair.domain.v_max))
+        for vel in (pair.phi_prime_value(u), pair.psi_prime_value(v)):
+            res = abs(mdot(vel, vel)) / max(1.0, float(vel @ vel))
+            worst = max(worst, res)
+    return CheckResult("null_generators", worst < tol, worst, 2 * n)
+
+
+def reference_curvature_routes(surf, n=1000, seed=0, h=1e-3, rtol_pair=1e-9,
+                               rtol_fd=1e-3):
+    rng = np.random.default_rng(seed)
+    pts = reference_sampler(surf, n, rng, singular_margin=0.1)
+    worst_pair = worst_fd = 0.0
+    skipped = 0
+    for (u, v) in pts:
+        try:
+            kc = gaussian_curvature(surf, u, v, method="closed")
+            ke = gaussian_curvature(surf, u, v, method="extrinsic")
+            ki = gaussian_curvature(surf, u, v, method="intrinsic", h=h)
+        except (SingularPoint, SingularNeighborhood):
+            skipped += 1
+            continue
+        scale = max(abs(kc), abs(ke), 1e-300)
+        worst_pair = max(worst_pair, abs(kc - ke) / scale)
+        worst_fd = max(worst_fd, abs(kc - ki) / max(abs(kc), 1e-300))
+    passed = (worst_pair < rtol_pair and worst_fd < rtol_fd
+              and len(pts) > skipped)
+    return CheckResult(
+        "curvature_routes", passed, max(worst_pair, worst_fd), len(pts),
+        f"pairwise {worst_pair:.2e}, finite-diff {worst_fd:.2e}")
+
+
+def reference_minimality(surf, n=1000, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    pts = reference_sampler(surf, n, rng, nonflat=False)
+    worst = 0.0
+    for (u, v) in pts:
+        try:
+            worst = max(worst, abs(mean_curvature_residual(surf, u, v)))
+        except SingularPoint:
+            continue
+    return CheckResult("minimality", worst < tol and bool(pts), worst,
+                       len(pts))
+
+
+def reference_sign_theorem(surf, n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = reference_sampler(surf, n, rng)
+    bad = 0
+    for (u, v) in pts:
+        try:
+            k = gaussian_curvature(surf, u, v)
+            pred = sign_prediction(surf, u, v)
+        except (SingularPoint, FlatPoint):
+            continue
+        if k == 0.0 or (k > 0) != (pred > 0):
+            bad += 1
+    return CheckResult("sign_theorem", bad == 0 and bool(pts), float(bad),
+                       len(pts), f"{bad} exceptions")
+
+
+def reference_milnor(surf, n=100, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = reference_sampler(surf, n, rng)
+    bad = 0
+    for (u, v) in pts:
+        try:
+            if not milnor_sign_check(surf, u, v):
+                bad += 1
+        except (SingularPoint, FlatPoint, DegenerateAtPoint):
+            continue
+    return CheckResult("milnor_winding", bad == 0 and bool(pts), float(bad),
+                       len(pts), f"{bad} disagreements")
+
+
+def reference_energy_gauge(surf, n=50, seed=0, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    pts = reference_sampler(surf, n, rng)
+    worst = 0.0
+    for (u, v) in pts:
+        try:
+            k = gaussian_curvature(surf, u, v)
+            e = energy_gauge(surf, u, v)
+            pred = sign_prediction(surf, u, v)
+        except (SingularPoint, FlatPoint, DegenerateAtPoint):
+            continue
+        worst = max(worst, abs(k * e * e - pred))
+    return CheckResult("energy_gauge", worst < tol and bool(pts), worst,
+                       len(pts))
+
+
+CHECKS = [
+    (check_null_generators, reference_null_generators),
+    (check_curvature_routes, reference_curvature_routes),
+    (check_minimality, reference_minimality),
+    (check_sign_theorem, reference_sign_theorem),
+    (check_milnor, reference_milnor),
+    (check_energy_gauge, reference_energy_gauge),
+]
+
+
+# --- equality ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_vectorized_checks_equal_per_point_loops(name):
+    surf = SURFACES[name]
+    for check, reference in CHECKS:
+        if check is check_energy_gauge and get_data(surf) is None:
+            continue
+        seed = len(name)
+        got, want = check(surf, seed=seed), reference(surf, seed=seed)
+        assert got == want, (check.__name__, got, want)
+        assert type(got.max_error) is float
+
+
+def _draw(sampler, surf, n, seed, **kw):
+    return sampler(surf, n, np.random.default_rng(seed), **kw)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("enneper", {}),
+    ("enneper", {"nonflat": False, "singular_margin": 0.3}),
+    ("ce-quasiumbilic", {"flat_floor": 0.9}),
+    ("kchange", {"flat_floor": 0.5}),
+    ("kchange", {"nonflat": False}),
+    ("poly-17", {"singular_margin": 0.5}),
+])
+def test_sampler_equals_per_point_sampler(name, kw):
+    for n, seed in ((1, 0), (37, 1), (400, 2)):
+        got = _draw(sample_regular_points, SURFACES[name], n, seed, **kw)
+        assert got == _draw(reference_sampler, SURFACES[name], n, seed, **kw)
+        assert len(got) == n
+
+
+@pytest.mark.parametrize("flat_floor, kept", [(1e9, 0), (2.73, 29)])
+def test_sampler_stops_at_the_attempt_cap_like_per_point_sampler(flat_floor,
+                                                                 kept):
+    # both generating curves of kchange have q = 2 |t|^(1/2) on [-2, 2], so
+    # a floor near its maximum 2^(3/2) keeps about 0.5% of the candidates
+    surf = SURFACES["kchange"]
+    got = _draw(sample_regular_points, surf, 60, 4, flat_floor=flat_floor)
+    assert got == _draw(reference_sampler, surf, 60, 4, flat_floor=flat_floor)
+    assert len(got) == kept
+
+
+class _CountingRng:
+    """A generator that counts the candidates (u, v) drawn from it."""
+
+    def __init__(self, seed):
+        self.rng, self.pairs = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high, size):
+        self.pairs += size[0]
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_sampler_draws_at_most_80_n_candidates(n):
+    rng = _CountingRng(3)
+    assert sample_regular_points(SURFACES["kchange"], n, rng,
+                                 flat_floor=1e9) == []
+    assert rng.pairs == 80 * n
+
+
+# --- the array helpers, point by point ------------------------------------------
+
+# random points plus points on the singular set (enneper: u v = -1;
+# ce-quasiumbilic: u (1 + v^2) = 1), within a finite-difference step of it,
+# and on flat lines (ce-quasiumbilic: v = 0; kchange: u = 0 or v = 0)
+EXTRA_POINTS = {"enneper": [(1.0, -1.0), (-2.0, 0.5), (1.0005, -1.0)],
+                "ce-quasiumbilic": [(0.5, 0.0), (0.5, 1.0), (0.5004, 1.0)],
+                "kchange": [(0.0, 0.7), (0.3, 0.0), (0.0, 0.0)]}
+
+
+def _points(name):
+    pts = _draw(sample_regular_points, SURFACES[name], 300, 9,
+                nonflat=False, singular_margin=0.0)
+    return pts + EXTRA_POINTS.get(name, [])
+
+
+def _assert_same(got, ok, pts, per_point, errors):
+    """got/ok from an array helper equal per_point(u, v) or its error."""
+    for (u, v), g, o in zip(pts, got.tolist(), ok.tolist()):
+        try:
+            want = per_point(u, v)
+        except errors:
+            assert not o, (u, v)
+            continue
+        assert o, (u, v)
+        assert np.float64(g).tobytes() == np.float64(want).tobytes(), (u, v)
+
+
+@pytest.mark.parametrize("name", ["enneper", "ce-quasiumbilic", "kchange",
+                                  "poly-17", "acc-5"])
+def test_array_helpers_equal_per_point_functions(name):
+    surf, pts = SURFACES[name], _points(name)
+    us, vs = np.array(pts).T
+    cu, cv = curve_arrays(surf, "u", us), curve_arrays(surf, "v", vs)
+    sing = (SingularPoint, SingularNeighborhood)
+    flat = (SingularPoint, FlatPoint, DegenerateAtPoint)
+    _assert_same(*verify._k_closed(surf, us, vs, cu, cv), pts,
+                 lambda u, v: gaussian_curvature(surf, u, v), sing)
+    _assert_same(*verify._k_extrinsic(surf, us, vs, cu, cv), pts,
+                 lambda u, v: gaussian_curvature(surf, u, v, "extrinsic"),
+                 sing)
+    _assert_same(*verify._k_intrinsic(surf, us, vs, cu[0], cv[0], 1e-3), pts,
+                 lambda u, v: gaussian_curvature(surf, u, v, "intrinsic"),
+                 sing)
+    _assert_same(*verify._sign_prediction(cu, cv), pts,
+                 lambda u, v: sign_prediction(surf, u, v), flat)
+    for axis, ts, c in (("u", us, cu), ("v", vs, cv)):
+        at = (lambda u, v: u) if axis == "u" else (lambda u, v: v)
+        _assert_same(*verify._winding_sign(surf, axis, ts, c[0]), pts,
+                     lambda u, v: _angle_rate_sign(axis_curve(surf, axis),
+                                                   at(u, v), 1e-5), flat)
+        _assert_same(*verify._gauge_rate(surf, axis, ts), pts,
+                     lambda u, v: reparametrize(surf, axis, at(u, v)).t_s,
+                     flat)
+
+
+# --- regression guard ------------------------------------------------------------
+
+
+def _count_scalar_calls(monkeypatch):
+    """Count calls of the scalar evaluators at every binding minface uses."""
+    counts = {"calls": 0}
+    for original in (expr.eval_jet, expr.eval_value, surface.jets_at):
+        def counted(*args, _fn=original, **kwargs):
+            counts["calls"] += 1
+            return _fn(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            name = getattr(mod, "__name__", "") or ""
+            if name == "minface" or name.startswith("minface."):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["enneper", "kchange"])
+def test_vectorized_checks_make_no_per_point_scalar_calls(name, monkeypatch):
+    surf = SURFACES[name]
+    counts = _count_scalar_calls(monkeypatch)
+    per_n = []
+    for n in (100, 1000):
+        counts["calls"] = 0
+        sample_regular_points(surf, n, np.random.default_rng(0))
+        for check, _ in CHECKS:
+            if check is check_energy_gauge and get_data(surf) is None:
+                continue
+            check(surf, n=n)
+        per_n.append(counts["calls"])
+    assert per_n[0] == per_n[1]
+    # the counter sees per-point calls: the reference loops make them
+    reference_sign_theorem(surf, n=10)
+    assert counts["calls"] > per_n[1]
