@@ -8,6 +8,7 @@ quadrature trouble, point off the singular set).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -216,10 +217,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -15,19 +15,18 @@ ModeUnsupported).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, List, Optional, TextIO, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateSingular, DivisionByZero, DomainError,
                      ModeUnsupported, NonFiniteResult, NotCuspidalEdge,
                      NotSingular, RootNotConverged, SingularPoint)
-from .expr import eval_array, eval_value
-from .jets import shift_derivative
+from .expr import Expression, eval_array, eval_value
+from .jets import ARRAY_OPS, elementwise, float_pow, shift_derivative
 from .lorentz import det3, enorm, vec3
 from .surface import (RealWeierstrassData, Surface, jets_at, require_data)
 
@@ -76,11 +75,7 @@ def singular_data(surface: Surface, u: float, v: float) -> SingularData:
     w1 = d.w1_jet(u)
     w2 = d.w2_jet(v)
     if g1.value == 0.0 or g2.value == 0.0:
-        # g1 g2 = 1 forces both data functions nonzero, so this point is
-        # provably off the singular set.
-        raise NotSingular(
-            f"a data function vanishes at ({u!r}, {v!r}); the point cannot "
-            "lie on the singular set")
+        raise _vanishing_data(u, v)
     a_jet = shift_derivative(g1) / (g1 * g1 * w1)
     b_jet = shift_derivative(g2) / (g2 * g2 * w2)
     return SingularData(
@@ -90,6 +85,14 @@ def singular_data(surface: Surface, u: float, v: float) -> SingularData:
         h_u=g1.d1 * g2.value, h_v=g1.value * g2.d1,
         a=a_jet.value, b=b_jet.value,
         a_rate=a_jet.d1, b_rate=b_jet.d1)
+
+
+def _vanishing_data(u: float, v: float) -> NotSingular:
+    # g1 g2 = 1 forces both data functions nonzero, so such a point is
+    # provably off the singular set.
+    return NotSingular(
+        f"a data function vanishes at ({u!r}, {v!r}); the point cannot "
+        "lie on the singular set")
 
 
 def signed_area_density(surface: Surface, u: float, v: float) -> float:
@@ -328,44 +331,69 @@ class SingularCurve:
         return np.array([(p.u, p.v) for p in self.points])
 
 
-def _edge_root(g_fn, g_other: float, lo: float, hi: float,
-               jet_fn, tol: float = 1e-12) -> Optional[float]:
-    """Root of g(t)*g_other - 1 on [lo, hi] by safeguarded Newton.
+# Array work on edges and vertices runs at lengths rounded up to a multiple
+# of _CHUNK. Its many short-lived masks then come in a few sizes: numpy
+# keeps up to seven freed buffers of every size below 1 KiB for reuse, so
+# masks of every length a trace happens to produce would pin megabytes
+# over a long run of traces.
+_CHUNK = 128
 
-    None if h does not change sign on the edge; RootNotConverged if 60
-    iterations leave |h| >= tol.
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x extended by copies of its last element to a multiple of _CHUNK."""
+    n = len(x)
+    out = np.empty(-(-n // _CHUNK) * _CHUNK, dtype=x.dtype)
+    out[:n] = x
+    out[n:] = x[-1] if n else 0
+    return out
+
+
+def _edge_roots(g: Expression, g_lo: np.ndarray, g_hi: np.ndarray,
+                g_other: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                tol: float = 1e-12) -> np.ndarray:
+    """Roots of g(t)*g_other - 1 on the edges [lo, hi], all at once.
+
+    One element per edge: g_lo and g_hi are g at the ends, and h must change
+    sign along every edge. Each element takes the steps of a scalar
+    safeguarded Newton: an end where h = 0 is the root; otherwise start at
+    the midpoint, accept at |h| < tol, keep the sign bracket, and bisect
+    where h' = 0 or the Newton step leaves the bracket. The iterates of all
+    edges are evaluated together by ``eval_array``. RootNotConverged names
+    the first edge that 60 iterations leave at |h| >= tol.
     """
-    edge = (lo, hi)
-
-    def h(t: float) -> float:
-        return g_fn(t) * g_other - 1.0
-
-    h_lo, h_hi = h(lo), h(hi)
-    if h_lo == 0.0:
-        return lo
-    if h_hi == 0.0:
-        return hi
-    if (h_lo > 0) == (h_hi > 0):
-        return None
-    t_next = 0.5 * (lo + hi)
+    n = len(lo)
+    edge_lo, edge_hi = lo, hi
+    g_lo, g_hi, g_other, lo, hi = map(_padded, (g_lo, g_hi, g_other, lo, hi))
+    h_lo = g_lo * g_other - 1.0
+    h_hi = g_hi * g_other - 1.0
+    roots = np.where(h_lo == 0.0, lo, hi)
+    todo = (h_lo != 0.0) & (h_hi != 0.0)
+    lo_pos = h_lo > 0
+    # a solved edge waits at a point already evaluated: its lower end if a
+    # root is at an end, else the root it converged to
+    t = np.where(todo, 0.5 * (lo + hi), lo)
     for _ in range(60):
-        t = t_next
-        jt = jet_fn(t)
+        if not todo.any():
+            return roots[:n]
+        jt = eval_array(g, t)
         ht = jt.value * g_other - 1.0
-        if abs(ht) < tol:
-            return t
-        if (ht > 0) == (h_lo > 0):
-            lo = t
-        else:
-            hi = t
+        done = todo & (np.abs(ht) < tol)
+        np.copyto(roots, t, where=done)
+        todo &= ~done
+        same = (ht > 0) == lo_pos
+        lo = np.where(todo & same, t, lo)
+        hi = np.where(todo & ~same, t, hi)
         dh = jt.d1 * g_other
-        if dh != 0.0:
-            t_next = t - ht / dh
-            if not (lo < t_next < hi):
-                t_next = 0.5 * (lo + hi)
-        else:
-            t_next = 0.5 * (lo + hi)
-    raise RootNotConverged(edge, t, ht)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - ht / dh
+        ok = (dh != 0.0) & (lo < newton) & (newton < hi)
+        t_last = t
+        t = np.where(todo, np.where(ok, newton, 0.5 * (lo + hi)), t)
+    if not todo.any():
+        return roots[:n]
+    k = int(np.argmax(todo))
+    raise RootNotConverged((edge_lo[k].item(), edge_hi[k].item()),
+                           t_last[k].item(), ht[k].item())
 
 
 # marching-squares connectivity: case index bits are the > 0 flags of the
@@ -382,67 +410,94 @@ _MS_SEGMENTS = {
     # 5 and 10 are the ambiguous saddles, resolved at runtime
 }
 
+# grid rows whose node signs are taken at a time
+_SIGN_ROWS = 32
+
 
 def trace_singular_set(surface: Surface, grid_n: int = 256,
                        tol: float = DEFAULT_TOL) -> List[SingularCurve]:
     """Polyline trace of {g1 g2 = 1} over the domain grid.
 
     Marching squares on the signs of g1(u_i) g2(v_j) - 1 at the
-    (grid_n+1)^2 grid nodes: the sign test is one numpy broadcast, and only
-    the cells the curve crosses are visited, so the cost beyond that test is
-    proportional to the number of crossed cells. Every crossing is sharpened
-    to |h| < 1e-12 along its grid edge. Sign changes of a + b and a - b
-    along each polyline are located by a two-dimensional Newton iteration on
+    (grid_n+1)^2 grid nodes: the sign test is a numpy broadcast, and only
+    the cells the curve crosses are visited. Every grid edge whose end signs
+    differ carries one vertex, sharpened to |h| < 1e-12 along the edge; the
+    edges are solved together, so beyond the sign test the cost grows with
+    the number of crossed edges. Sign changes of a + b and a - b along each
+    polyline are located by a two-dimensional Newton iteration on
     {h = 0, a +- b = 0} and the solutions are inserted as extra vertices, so
     swallowtail and cross-cap candidates appear as exact polyline points.
     """
     d = require_data(surface, "singular-set tracing")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    us = d.domain.u_grid(grid_n + 1)
-    vs = d.domain.v_grid(grid_n + 1)
+    n = grid_n + 1
+    us = d.domain.u_grid(n)
+    vs = d.domain.v_grid(n)
     g1_vals = eval_array(d.g1, us).value
     g2_vals = eval_array(d.g2, vs).value
-    # g1 g2 > 1 exactly when h = g1 g2 - 1 > 0, so no grid-sized float h
-    # array is needed besides the product
-    pos = np.multiply.outer(g1_vals, g2_vals) > 1.0
-    p = pos.view(np.uint8)
-    cases = (p[:-1, :-1] | p[1:, :-1] << 1 | p[1:, 1:] << 2
-             | p[:-1, 1:] << 3)
+    # Node signs g1 g2 > 1 (exactly h > 0), a block of rows at a time, so
+    # no grid-sized array is held. From them, as row-major flat indices:
+    # the sign-changing u-edges, from node (i, j) to (i+1, j), and v-edges,
+    # from (i, j) to (i, j+1), and the cells they cross, with each crossed
+    # cell's case index.
+    u_flat, v_flat, cells, cases = [], [], [], []
+    for r in range(0, n, _SIGN_ROWS):
+        pos = np.greater(np.multiply.outer(g1_vals[r:r + _SIGN_ROWS + 1],
+                                           g2_vals), 1.0)
+        own = min(_SIGN_ROWS, n - r)  # the next block's first row is shared
+        u_cut = pos[:-1] != pos[1:]
+        v_cut = pos[:, :-1] != pos[:, 1:]
+        u_flat.append(r * n + np.flatnonzero(u_cut[:own]))
+        v_flat.append(r * grid_n + np.flatnonzero(v_cut[:own]))
+        crossed = np.flatnonzero(
+            u_cut[:, :-1] | u_cut[:, 1:] | v_cut[:-1] | v_cut[1:])
+        bi, bj = np.divmod(crossed, grid_n)
+        p = pos.view(np.uint8)
+        cells.append(r * grid_n + crossed)
+        cases.append(p[bi, bj] | p[bi + 1, bj] << 1 | p[bi + 1, bj + 1] << 2
+                     | p[bi, bj + 1] << 3)
+    u_flat, v_flat = np.concatenate(u_flat), np.concatenate(v_flat)
 
-    g1_fn = lambda t: eval_value(d.g1, t)
-    g2_fn = lambda t: eval_value(d.g2, t)
+    # every sign-changing edge carries one vertex
+    ui, uj = np.divmod(u_flat, n)
+    vi, vj = np.divmod(v_flat, grid_n)
+    u_roots = _edge_roots(d.g1, g1_vals[ui], g1_vals[ui + 1], g2_vals[uj],
+                          us[ui], us[ui + 1])
+    v_roots = _edge_roots(d.g2, g2_vals[vj], g2_vals[vj + 1], g1_vals[vi],
+                          vs[vj], vs[vj + 1])
+    # an edge's id is its place among the u-edges, then the v-edges, in
+    # row-major order; its vertex is (edge_u[id], edge_v[id])
+    edge_u = np.concatenate([u_roots, us[vi]])
+    edge_v = np.concatenate([vs[uj], v_roots])
 
-    edge_points = {}
-
-    def point_on(edge) -> Optional[Tuple[float, float]]:
-        if edge in edge_points:
-            return edge_points[edge]
-        kind, i, j = edge
-        if kind == "u":
-            t = _edge_root(g1_fn, g2_vals[j], us[i], us[i + 1], d.g1_jet)
-            pt = None if t is None else (t, vs[j])
-        else:
-            t = _edge_root(g2_fn, g1_vals[i], vs[j], vs[j + 1], d.g2_jet)
-            pt = None if t is None else (us[i], t)
-        edge_points[edge] = pt
-        return pt
-
-    segments = []
     # crossed cells in row-major order: stitching, and so the curve and
     # vertex order, depends on the order segments are found in
-    for i, j in np.argwhere((cases != 0) & (cases != 15)).tolist():
-        idx = int(cases[i, j])
-        local = {0: ("u", i, j), 1: ("v", i + 1, j),
-                 2: ("u", i, j + 1), 3: ("v", i, j)}
+    ci, cj = np.divmod(np.concatenate(cells), grid_n)
+    idxs = np.concatenate(cases)
+    center_pos = np.zeros(len(ci), dtype=bool)
+    saddle = (idxs == 5) | (idxs == 10)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
+        center_pos[saddle] = (
+            eval_array(d.g1, 0.5 * (us[si] + us[si + 1])).value
+            * eval_array(d.g2, 0.5 * (vs[sj] + vs[sj + 1])).value - 1.0 > 0)
+    # ids of each cell's edges 0=bottom 1=right 2=top 3=left; the ids of
+    # edges the cell's case leaves uncrossed are never read
+    n_u = len(u_flat)
+    local = np.stack([
+        np.searchsorted(u_flat, ci * n + cj),
+        n_u + np.searchsorted(v_flat, (ci + 1) * grid_n + cj),
+        np.searchsorted(u_flat, ci * n + cj + 1),
+        n_u + np.searchsorted(v_flat, ci * grid_n + cj)], axis=1)
+    segments = []
+    for ids, idx, center in zip(local.tolist(), idxs.tolist(),
+                                center_pos.tolist()):
         if idx in (5, 10):
-            uc = 0.5 * (us[i] + us[i + 1])
-            vc = 0.5 * (vs[j] + vs[j + 1])
-            center_pos = g1_fn(uc) * g2_fn(vc) - 1.0 > 0
             # saddle cell: corners 00/11 share a sign, 10/01 share the
             # other; the center decides which diagonal the contour splits
-            corners_00_11_isolated = ((idx == 5 and not center_pos)
-                                      or (idx == 10 and center_pos))
+            corners_00_11_isolated = ((idx == 5 and not center)
+                                      or (idx == 10 and center))
             if corners_00_11_isolated:
                 pairs = [(3, 0), (1, 2)]
             else:
@@ -450,9 +505,7 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
         else:
             pairs = _MS_SEGMENTS[idx]
         for e_a, e_b in pairs:
-            pa, pb = point_on(local[e_a]), point_on(local[e_b])
-            if pa is not None and pb is not None:
-                segments.append((local[e_a], local[e_b]))
+            segments.append((ids[e_a], ids[e_b]))
 
     # stitch segments into polylines by shared edge ids
     adjacency = {}
@@ -477,44 +530,130 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
                 break
             chain.append(nxt[0])
             visited.add(nxt[0])
-        pts = [edge_points[e] for e in chain if edge_points[e] is not None]
-        if len(pts) >= 2:
-            curves.append((pts, closed))
+        if len(chain) >= 2:
+            curves.append((chain, closed))
 
     out = []
-    for pts, closed in curves:
-        data = _insert_special_points(
-            surface, [singular_data(surface, u, v) for u, v in pts])
-        reports = [_classify(sd, tol) for sd in data]
-        residual = max(abs(sd.h) for sd in data)
+    for chain, closed in curves:
+        data = _singular_arrays(d, _padded(edge_u[chain]),
+                                _padded(edge_v[chain]))
+        reports = _classify_arrays(data, tol, len(chain))
+        residual = float(np.max(np.abs(data.h)))
+        # the few Newton-refined vertices take the scalar path
+        for k, sd in _special_points(surface, data):
+            reports.insert(k, _classify(sd, tol))
+            residual = max(residual, abs(sd.h))
         out.append(SingularCurve(reports, residual, closed))
     return out
 
 
-def _insert_special_points(surface: Surface,
-                           data: List[SingularData]) -> List[SingularData]:
-    """Insert Newton-refined zeros of a + b and a - b between polyline nodes."""
-    enriched = []
-    for k in range(len(data)):
-        enriched.append(data[k])
-        if k + 1 >= len(data):
-            break
-        s0, s1 = data[k], data[k + 1]
-        for sign in (1.0, -1.0):  # a + sign*b
-            c0 = s0.a + sign * s0.b
-            c1 = s1.a + sign * s1.b
-            if c0 == 0.0 or c1 == 0.0 or (c0 > 0) == (c1 > 0):
+def _point(sd: SingularData, k: int) -> SingularData:
+    """Element k of a SingularData of arrays."""
+    return SingularData(*(getattr(sd, f.name)[k].item()
+                          for f in fields(SingularData)))
+
+
+def _singular_arrays(d: RealWeierstrassData, u: np.ndarray,
+                     v: np.ndarray) -> SingularData:
+    """singular_data at every point (u[k], v[k]), as a SingularData of arrays.
+
+    Each element equals singular_data at that point bit for bit, and a
+    vanishing data function raises its NotSingular for the first such point.
+    """
+    g1, g2 = eval_array(d.g1, u), eval_array(d.g2, v)
+    w1, w2 = eval_array(d.w1, u), eval_array(d.w2, v)
+    zero = (g1.value == 0.0) | (g2.value == 0.0)
+    if zero.any():
+        k = int(np.argmax(zero))
+        raise _vanishing_data(u[k].item(), v[k].item())
+    div, mul = ARRAY_OPS["/"], ARRAY_OPS["*"]
+    with np.errstate(all="ignore"):
+        a_jet = div(shift_derivative(g1), mul(mul(g1, g1), w1))
+        b_jet = div(shift_derivative(g2), mul(mul(g2, g2), w2))
+        return SingularData(
+            u=u, v=v, g1=g1.value, g2=g2.value, g1p=g1.d1, g2p=g2.d1,
+            w1=w1.value, w2=w2.value,
+            h=g1.value * g2.value - 1.0,
+            h_u=g1.d1 * g2.value, h_v=g1.value * g2.d1,
+            a=a_jet.value, b=b_jet.value,
+            a_rate=a_jet.d1, b_rate=b_jet.d1)
+
+
+_TAG_CODES = (SingularClassification.DEGENERATE,
+              SingularClassification.CUSPIDAL_EDGE,
+              SingularClassification.SWALLOWTAIL,
+              SingularClassification.CUSPIDAL_CROSS_CAP,
+              SingularClassification.UNRESOLVED)
+_hypot = elementwise(math.hypot, 2)
+
+
+@np.errstate(all="ignore")
+def _classify_arrays(sd: SingularData, tol: float,
+                     n: int) -> List[SingularPointReport]:
+    """_classify at the first n elements of a SingularData of arrays.
+
+    The same tests and bands as _classify, as masks; each report equals
+    _classify's at that point.
+    """
+    off = np.abs(sd.h) > tol * (1.0 + np.abs(sd.g1 * sd.g2))
+    if off.any():
+        _require_singular(_point(sd, int(np.argmax(off))), tol)
+    band = sd.band(tol)
+    front = np.abs(sd.a_minus_b) > band
+    gp1, gp2 = np.abs(sd.g1p), np.abs(sd.g2p)
+    nondeg = np.maximum(gp1, gp2) > tol * (1.0 + gp1 + gp2)
+    third_sw = sd.a_rate * (sd.g2p / sd.g2) - sd.b_rate * (sd.g1p / sd.g1)
+    third_ccr = sd.a_rate * (sd.g2p / sd.g2) + sd.b_rate * (sd.g1p / sd.g1)
+    third_band = tol * (1.0 + np.abs(sd.a_rate) + np.abs(sd.b_rate))
+    edge_side = np.abs(sd.a_plus_b) > band
+    codes = np.select(
+        [~nondeg, front & edge_side,
+         front & (np.abs(third_sw) > third_band),
+         ~front & edge_side & (np.abs(third_ccr) > third_band)],
+        [0, 1, 2, 3], 4)
+    edge = np.flatnonzero(codes == 1)
+    edge = edge[:np.searchsorted(edge, n)]
+    num = 2.0 * sd.g1p[edge] * sd.g2p[edge] / (
+        sd.w1[edge] * sd.w2[edge] * float_pow(sd.g1[edge] + sd.g2[edge], 2))
+    kappa = [None] * n
+    for k, x in zip(edge.tolist(), (num / np.abs(sd.a_plus_b[edge])).tolist()):
+        kappa[k] = x
+    grad_norm = _hypot(*lambda_gradient_on_singular(sd))
+    return [SingularPointReport(*row) for row in zip(
+        *(x[:n].tolist() for x in (sd.u, sd.v, sd.a, sd.b, sd.a_minus_b,
+                                   sd.a_plus_b, third_sw, third_ccr, front,
+                                   nondeg)),
+        [_TAG_CODES[c] for c in codes[:n].tolist()], kappa,
+        grad_norm[:n].tolist())]
+
+
+def _special_points(surface: Surface,
+                    data: SingularData) -> List[Tuple[int, SingularData]]:
+    """Newton-refined zeros of a + b and a - b between polyline nodes.
+
+    data holds the nodes in order, as arrays; copies of the last node may
+    follow. Each zero comes with its index in the polyline once every zero
+    is inserted right after its node, a + b's before a - b's.
+    """
+    changes = []
+    for sign in (1.0, -1.0):  # a + sign*b
+        c = data.a + sign * data.b
+        changes.append((c[:-1] != 0.0) & (c[1:] != 0.0)
+                       & ((c[:-1] > 0) != (c[1:] > 0)))
+    found = []
+    for k in np.flatnonzero(changes[0] | changes[1]).tolist():
+        s0, s1 = _point(data, k), _point(data, k + 1)
+        for sign, change in zip((1.0, -1.0), changes):
+            if not change[k]:
                 continue
-            refined = _newton_special(surface, 0.5 * (s0.u + s1.u),
-                                      0.5 * (s0.v + s1.v), sign)
-            if refined is not None:
-                near_prev = (abs(refined.u - s0.u)
-                             + abs(refined.v - s0.v)) < 1e-12
-                near_next = (abs(refined.u - s1.u)
-                             + abs(refined.v - s1.v)) < 1e-12
+            sd = _newton_special(surface, 0.5 * (s0.u + s1.u),
+                                 0.5 * (s0.v + s1.v), sign)
+            if sd is not None:
+                near_prev = (abs(sd.u - s0.u) + abs(sd.v - s0.v)) < 1e-12
+                near_next = (abs(sd.u - s1.u) + abs(sd.v - s1.v)) < 1e-12
                 if not near_prev and not near_next:
-                    enriched.append(refined)
-    return enriched
+                    found.append((k + 1 + len(found), sd))
+    return found
 
 
 def _newton_special(surface: Surface, u: float, v: float, sign: float,
@@ -563,23 +702,19 @@ def write_singular_csv(curves_or_reports, destination) -> None:
     else:
         reports = list(curves_or_reports)
 
-    def emit(fh: TextIO) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "tag", "a", "b", "a_minus_b", "a_plus_b",
-                         "kappa_s", "is_front", "lambda_gradient_norm"])
-        for r in reports:
-            writer.writerow([
-                "%.17g" % r.u, "%.17g" % r.v, r.tag.value,
-                "%.17g" % r.a, "%.17g" % r.b,
-                "%.17g" % r.a_minus_b, "%.17g" % r.a_plus_b,
-                "" if r.kappa_s is None else "%.17g" % r.kappa_s,
-                int(r.is_front), "%.17g" % r.lambda_gradient_norm])
-
+    # the bytes csv.writer writes: no field needs quoting, lines end in CRLF
+    text = "".join(
+        ["u,v,tag,a,b,a_minus_b,a_plus_b,kappa_s,is_front,"
+         "lambda_gradient_norm\r\n"]
+        + ["%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s,%d,%.17g\r\n" % (
+            r.u, r.v, r.tag.value, r.a, r.b, r.a_minus_b, r.a_plus_b,
+            "" if r.kappa_s is None else "%.17g" % r.kappa_s,
+            r.is_front, r.lambda_gradient_norm) for r in reports])
     if hasattr(destination, "write"):
-        emit(destination)
+        destination.write(text)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+            fh.write(text)
 
 
 # --- main theorem check -------------------------------------------------------

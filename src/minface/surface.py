@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -141,6 +142,7 @@ class RealWeierstrassData:
         return eval_jet(self.w2, lift_variable(v))
 
     def pair(self) -> "NullCurvePair":
+        """The null-curve pair of this data, built once and cached."""
         if self._pair is None:
             self._pair = curves_from_data(self)
         return self._pair
@@ -168,11 +170,21 @@ class NullCurvePair:
     f0: np.ndarray
     source: str  # 'weierstrass' | 'curves'
     prime_order: int = 3
-    data: Optional[RealWeierstrassData] = None
+    _data: Optional[weakref.ref] = field(default=None, repr=False,
+                                         compare=False)
     phi_position: Optional[Callable[[float], np.ndarray]] = None
     psi_position: Optional[Callable[[float], np.ndarray]] = None
     _phi_prefix: Optional[PrefixIntegral] = field(default=None, repr=False)
     _psi_prefix: Optional[PrefixIntegral] = field(default=None, repr=False)
+
+    @property
+    def data(self) -> Optional[RealWeierstrassData]:
+        """The Weierstrass data the pair was built from, while it exists.
+
+        Held weakly: the data caches its pair, so a strong reference back
+        would make every loaded surface a reference cycle.
+        """
+        return None if self._data is None else self._data()
 
     def phi_prime_value(self, u: float) -> np.ndarray:
         j = self.phi_prime(u)
@@ -188,7 +200,7 @@ class NullCurvePair:
             return self.phi_position(u) - self.phi_position(self.base[0])
         if self._phi_prefix is None:
             self._phi_prefix = PrefixIntegral(
-                self.phi_prime_value, self.base[0], self.domain.u_min,
+                _values(self.phi_prime), self.base[0], self.domain.u_min,
                 self.domain.u_max, abs_tol=QUAD_TOL)
         return self._phi_prefix(u)
 
@@ -197,9 +209,23 @@ class NullCurvePair:
             return self.psi_position(v) - self.psi_position(self.base[1])
         if self._psi_prefix is None:
             self._psi_prefix = PrefixIntegral(
-                self.psi_prime_value, self.base[1], self.domain.v_min,
+                _values(self.psi_prime), self.base[1], self.domain.v_min,
                 self.domain.v_max, abs_tol=QUAD_TOL)
         return self._psi_prefix(v)
+
+
+def _values(prime: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
+    """t -> the value vector of prime(t).
+
+    The integrand of a pair's prefix integrals: it holds the jet function,
+    not the pair that holds the prefix, so the two form no reference cycle.
+    """
+
+    def value(t: float) -> np.ndarray:
+        j = prime(t)
+        return vec3(j[0].value, j[1].value, j[2].value)
+
+    return value
 
 
 Surface = Union[RealWeierstrassData, NullCurvePair]
@@ -248,29 +274,37 @@ def _psi_jets(ops, g: Jet3, w: Jet3) -> tuple:
 
 
 def curves_from_data(d: RealWeierstrassData) -> NullCurvePair:
-    """Velocity jets of the null curves determined by the data functions."""
+    """Velocity jets of the null curves determined by the data functions.
+
+    The jets close over the four expressions, not over d, and the pair
+    refers to d weakly, so d and its cached pair form no reference cycle.
+    """
+    g1, g2, w1, w2 = d.g1, d.g2, d.w1, d.w2
 
     def phi_prime(u: float):
-        return _phi_jets(SCALAR_OPS, d.g1_jet(u), d.w1_jet(u))
+        x = lift_variable(u)
+        return _phi_jets(SCALAR_OPS, eval_jet(g1, x), eval_jet(w1, x))
 
     def psi_prime(v: float):
-        return _psi_jets(SCALAR_OPS, d.g2_jet(v), d.w2_jet(v))
+        x = lift_variable(v)
+        return _psi_jets(SCALAR_OPS, eval_jet(g2, x), eval_jet(w2, x))
 
     # a non-finite element fails the array ops' finiteness test; numpy
     # must not warn about it first
     def phi_prime_array(us):
         with np.errstate(all="ignore"):
-            return _phi_jets(ARRAY_OPS, eval_array(d.g1, us),
-                             eval_array(d.w1, us))
+            return _phi_jets(ARRAY_OPS, eval_array(g1, us),
+                             eval_array(w1, us))
 
     def psi_prime_array(vs):
         with np.errstate(all="ignore"):
-            return _psi_jets(ARRAY_OPS, eval_array(d.g2, vs),
-                             eval_array(d.w2, vs))
+            return _psi_jets(ARRAY_OPS, eval_array(g2, vs),
+                             eval_array(w2, vs))
 
     return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
                          psi_prime_array, d.domain, d.base, d.f0.copy(),
-                         source="weierstrass", prime_order=3, data=d)
+                         source="weierstrass", prime_order=3,
+                         _data=weakref.ref(d))
 
 
 def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,

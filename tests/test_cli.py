@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(argv), checking exit codes."""
 
 import csv
+import gc
 import json
 
 import pytest
@@ -201,6 +202,27 @@ def test_gallery_raw_pair_skips_singular_csv(tmp_path, capsys):
 
 
 # --- exit codes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["enneper", "kchange"])
+@pytest.mark.parametrize("command", ["sample", "singular", "verify"])
+def test_commands_leave_no_cyclic_garbage(command, spec, spec_dir, tmp_path,
+                                          capsys):
+    """A repeated run frees all it made by reference counting alone."""
+    extra = {"sample": ["--nu", "8", "--nv", "8",
+                        "--out", str(tmp_path / "m.obj"),
+                        "--fields", str(tmp_path / "m.csv")],
+             "singular": ["--grid", "32", "--out", str(tmp_path / "s.csv")],
+             "verify": []}[command]
+    argv = [command, "--spec", str(spec_dir / f"{spec}.json")] + extra
+    main(argv)  # the first run builds the parser and compiles closures
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_usage_errors_exit_one(capsys):

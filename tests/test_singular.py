@@ -1,5 +1,6 @@
 """Singular set: pointwise data, classification, tracing, main-theorem checks."""
 
+import csv
 import io
 import math
 
@@ -21,7 +22,7 @@ from minface.expr import eval_jet, eval_value, parse
 from minface.jets import lift_variable
 from minface.singular import (
     MainTheoremReport,
-    _edge_root,
+    _edge_roots,
     _newton_special,
     SingularClassification,
     all_reports,
@@ -266,12 +267,78 @@ def test_csv_round_trip(enneper, tmp_path):
     assert path.read_text().splitlines()[0] == lines[0]
 
 
+def reference_singular_csv(reports) -> str:
+    """The CSV as csv.writer writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["u", "v", "tag", "a", "b", "a_minus_b", "a_plus_b",
+                     "kappa_s", "is_front", "lambda_gradient_norm"])
+    for r in reports:
+        writer.writerow([
+            "%.17g" % r.u, "%.17g" % r.v, r.tag.value,
+            "%.17g" % r.a, "%.17g" % r.b,
+            "%.17g" % r.a_minus_b, "%.17g" % r.a_plus_b,
+            "" if r.kappa_s is None else "%.17g" % r.kappa_s,
+            int(r.is_front), "%.17g" % r.lambda_gradient_norm])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", ["enneper", "enneper-conj",
+                                  "ce-quasiumbilic", "unresolved"])
+def test_csv_matches_per_row_writer(name, tmp_path):
+    reports = all_reports(trace_singular_set(_trace_surface(name), 64))
+    want = reference_singular_csv(reports)
+    assert "\r\n" in want
+    path = tmp_path / "sing.csv"
+    write_singular_csv(reports, path)
+    assert path.read_bytes() == want.encode("utf-8")
+    buf = io.StringIO(newline="")
+    write_singular_csv(reports, buf)
+    assert buf.getvalue() == want
+
+
+def cross_data(seed):
+    """A flat line u = c crossing the singular curve, with random densities.
+
+    g1 = a (u - c)^2 + d and g2 = e v + f with g1(c) g2(v*) = 1, as
+    make_accumulation_data, but with one-signed non-constant w1, w2.
+    """
+    rng = np.random.default_rng(seed)
+    a, c, d = rng.uniform(0.5, 1.5), rng.uniform(-0.4, 0.4), rng.uniform(
+        0.6, 1.4)
+    v_star, e = rng.uniform(-0.4, 0.4), rng.uniform(0.7, 1.3)
+    w = ["%s((%r) + ((%r)*%s + (%r))^2)" % (
+        rng.choice(["", "-"]), 0.4 + rng.uniform(0, 1), rng.uniform(-1, 1),
+        var, rng.uniform(-1, 1)) for var in "uv"]
+    return RealWeierstrassData.from_strings(
+        "(%r)*(u-(%r))^2+(%r)" % (a, c, d),
+        "(%r)*v+(%r)" % (e, 1.0 / d - e * v_star), w[0], w[1],
+        Rect(-1.0, 1.0, -1.0, 1.0))
+
+
+# Singular sets whose traced points are all Unresolved or all degenerate:
+# on u = v, g1 = u, g2 = 1/v, w2 = v^2 give a + b = 0 and third_sw = 0 at
+# every point of a front; g1 = 1 + u^2, g2 = 1 has g1' = g2' = 0 on u = 0,
+# and g1 g2 = 1 touches the grid node (0.25, -0.5) alone for the third.
+SPECIAL = {
+    "unresolved": lambda: RealWeierstrassData.from_strings(
+        "u", "1/v", "1", "v^2", Rect(0.5, 2.0, 0.6, 1.9), base=(1.0, 1.0)),
+    "degenerate-line": degenerate_example,
+    "degenerate-node": lambda: RealWeierstrassData.from_strings(
+        "(u-0.25)^2+2", "0.5+3*(v+0.5)^2", "1", "1", Rect(-1, 1, -1, 1)),
+}
+
+
 def _trace_surface(name):
     kind, _, seed = name.partition("-seed")
     if kind == "poly":
         return make_random_poly_data(np.random.default_rng(int(seed)))
     if kind == "accumulation":
         return make_accumulation_data(np.random.default_rng(int(seed)))
+    if kind == "cross":
+        return cross_data(int(seed))
+    if name in SPECIAL:
+        return SPECIAL[name]()
     return gallery.get(name)
 
 
@@ -282,7 +349,23 @@ def _trace_surface(name):
     "poly-seed1", "poly-seed4", "poly-seed5", "poly-seed7",
     "accumulation-seed0", "accumulation-seed1"])
 def test_trace_reports_equal_pointwise_classification(name, grid_n):
-    surface = _trace_surface(name)
+    _assert_reports_equal_pointwise(_trace_surface(name), grid_n)
+
+
+# cross-seed0 carries a swallowtail and a cross cap; the special surfaces
+# give Unresolved and DegenerateSingular points
+@pytest.mark.parametrize("name", [
+    "cross-seed0", "cross-seed1", "cross-seed2", "accumulation-seed1",
+    "unresolved", "degenerate-line", "degenerate-node"])
+def test_grid_512_reports_equal_pointwise_classification(name):
+    tags = _assert_reports_equal_pointwise(_trace_surface(name), 512)
+    if name in SPECIAL:
+        assert tags == {"unresolved": {"Unresolved"}}.get(
+            name, {"DegenerateSingular"})
+
+
+def _assert_reports_equal_pointwise(surface, grid_n):
+    """Each traced report is classify_singular's at its point; the tags."""
     curves = trace_singular_set(surface, grid_n)
     assert curves
     for c in curves:
@@ -290,6 +373,7 @@ def test_trace_reports_equal_pointwise_classification(name, grid_n):
             assert r == classify_singular(surface, r.u, r.v)
         assert c.residual_max == max(abs(singular_data(surface, r.u, r.v).h)
                                      for r in c.points)
+    return {r.tag.value for r in all_reports(curves)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,13 +458,89 @@ def test_transversal_curvature_blowup(enneper):
         assert k == pytest.approx(-16.0 / t ** 4, rel=1e-6)
 
 
+def reference_edge_root(g, g_other, lo, hi, tol=1e-12):
+    """Root of g(t)*g_other - 1 on [lo, hi] by scalar safeguarded Newton.
+
+    The per-edge solver the trace ran before its edges were batched. None
+    if h does not change sign on the edge, and RootNotConverged if 60
+    iterations leave |h| >= tol.
+    """
+    def h(t):
+        return eval_value(g, t) * g_other - 1.0
+
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo == 0.0:
+        return lo
+    if h_hi == 0.0:
+        return hi
+    if (h_lo > 0) == (h_hi > 0):
+        return None
+    edge = (lo, hi)
+    t_next = 0.5 * (lo + hi)
+    for _ in range(60):
+        t = t_next
+        jt = eval_jet(g, lift_variable(t))
+        ht = jt.value * g_other - 1.0
+        if abs(ht) < tol:
+            return t
+        if (ht > 0) == (h_lo > 0):
+            lo = t
+        else:
+            hi = t
+        dh = jt.d1 * g_other
+        if dh != 0.0:
+            t_next = t - ht / dh
+            if not (lo < t_next < hi):
+                t_next = 0.5 * (lo + hi)
+        else:
+            t_next = 0.5 * (lo + hi)
+    raise RootNotConverged(edge, t, ht)
+
+
+def _solve_edges(g, g_other, lo, hi):
+    """_edge_roots on edges given as lists of floats."""
+    ends = [np.array([eval_value(g, t) for t in x]) for x in (lo, hi)]
+    return _edge_roots(g, ends[0], ends[1], np.array(g_other, dtype=float),
+                       np.array(lo, dtype=float), np.array(hi, dtype=float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), grid_n=st.integers(16, 64),
+       maker=st.sampled_from([make_random_poly_data, make_accumulation_data]))
+def test_batched_edge_roots_equal_scalar_reference(seed, grid_n, maker):
+    """Every sign-changing grid edge: the same root, bit for bit."""
+    d = maker(np.random.default_rng(seed))
+    us, vs = d.domain.u_grid(grid_n + 1), d.domain.v_grid(grid_n + 1)
+    g1 = [eval_value(d.g1, u) for u in us]
+    g2 = [eval_value(d.g2, v) for v in vs]
+    pos = np.outer(g1, g2) - 1.0 > 0
+    for g, ts, others, cut in ((d.g1, us, g2, pos[:-1] != pos[1:]),
+                               (d.g2, vs, g1, (pos[:, :-1] != pos[:, 1:]).T)):
+        edges = [(others[j], float(ts[i]), float(ts[i + 1]))
+                 for i, j in zip(*np.nonzero(cut))]
+        if not edges:
+            continue
+        roots = _solve_edges(g, *zip(*edges))
+        assert roots.tolist() == [reference_edge_root(g, *e) for e in edges]
+
+
+def test_edge_root_at_a_zero_end():
+    # h = 0 exactly at t = 1 (g = 2t, g_other = 1/2): the end is the root
+    g = parse("2*t")
+    assert _solve_edges(g, [0.5, 0.5], [1.0, 0.25], [2.0, 1.0]).tolist() \
+        == [1.0, 1.0]
+
+
 def test_edge_root_that_cannot_converge_raises():
-    # g1 g2 = 1 at t = 0.3 - 5e-18, between two floats: |h| >= 1e-12 at
-    # every iterate
+    # g g_other = 1 at t = 0.3 - 5e-18, between two floats: |h| >= 1e-12 at
+    # every iterate. The edge before it converges; the error names this one.
     g = parse("1e17*(t-0.3)+1.5")
     with pytest.raises(RootNotConverged) as exc:
-        _edge_root(lambda t: eval_value(g, t), 1.0, 0.0, 1.0,
-                   lambda t: eval_jet(g, lift_variable(t)))
+        _solve_edges(g, [1e-16, 1.0], [0.35, 0.0], [0.45, 1.0])
     assert exc.value.interval == (0.0, 1.0)
     assert abs(exc.value.residual) >= 1e-12
     assert "[0.0, 1.0]" in str(exc.value)
+    with pytest.raises(RootNotConverged) as ref:
+        reference_edge_root(g, 1.0, 0.0, 1.0)
+    assert (exc.value.t, exc.value.residual) == (ref.value.t,
+                                                 ref.value.residual)

@@ -1,7 +1,9 @@
 """Surface construction: data model, evaluation, conversions, description files."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +248,26 @@ def test_dict_round_trip(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["mode"] == "weierstrass"
     assert obj["base"] == [0.0, 0.0]
+
+
+def test_loaded_surface_is_freed_without_the_cycle_collector(tmp_path):
+    """The data, its cached pair and the pair's prefixes form no cycle."""
+    path = tmp_path / "surf.json"
+    save_spec(surface_from_dict(enneper_dict()), path)
+    gc.disable()
+    try:
+        d = load_spec(path)
+        pair = as_pair(d)
+        evaluate(d, 1.1, -0.7)  # builds both prefix integrals
+        assert pair.data is d and pair is as_pair(d)
+        data_ref, pair_ref = weakref.ref(d), weakref.ref(pair)
+        del d
+        assert data_ref() is None
+        assert pair.data is None
+        del pair
+        assert pair_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dict_base_defaults_to_domain_centre():
