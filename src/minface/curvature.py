@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DegenerateAtPoint, DegenerateOnInterval, FlatPoint,
                      SingularPoint, SingularNeighborhood)
-from .jets import Jet3
+from .jets import Jet3, float_pow
 from .lorentz import det3, enorm, mdot, vec3
 from .quadrature import adaptive_quad
 from .surface import (REGULAR_TOL, Surface, SurfaceJet, as_pair, get_data,
@@ -159,22 +159,20 @@ def gaussian_curvature(surface: Surface, u: float, v: float,
 
 
 # The closed and extrinsic routes on arrays of points, for the mesh and the
-# battery. ``power`` computes their ``**``: jets.float_pow (libm, per element)
-# makes each element bit-identical to the per-point route; the mesh passes
-# operator.pow, numpy's own power, which differs from libm by an ulp on a
-# few per cent of inputs. Run under np.errstate(all="ignore").
+# battery; each element is bit-identical to the per-point route. Run under
+# np.errstate(all="ignore").
 
 
-def closed_k_arrays(g1, g1p, w1, g2, g2p, w2, power):
+def closed_k_arrays(g1, g1p, w1, g2, g2p, w2):
     """K = 4 g1' g2' / (w1 w2 (1 - g1 g2)^4) elementwise, and its denominator.
 
     The arguments are data values and derivatives that broadcast together.
     """
-    denom = w1 * w2 * power(1.0 - g1 * g2, 4)
+    denom = w1 * w2 * float_pow(1.0 - g1 * g2, 4)
     return 4.0 * g1p * g2p / denom, denom
 
 
-def extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu, power):
+def extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu):
     """K = -Q R / Lambda^2 elementwise, and where it exists.
 
     Stacks of 3-vectors that broadcast together, with the normal and its
@@ -184,7 +182,7 @@ def extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu, power):
     """
     lam = mdot(f_u, f_v)
     scale = enorm(f_u) * enorm(f_v)
-    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / power(lam, 2)
+    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / float_pow(lam, 2)
     return k, has_nu & (np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300))
 
 

@@ -43,7 +43,16 @@ class DivisionByZero(MinfaceError, ZeroDivisionError):
 
 
 class NonFiniteResult(MinfaceError, ArithmeticError):
-    """An operation produced NaN or +-inf; results are validated, never leaked."""
+    """An operation produced NaN or +-inf; results are validated, never leaked.
+
+    ``span`` locates the failing subexpression as DivisionByZero's does.
+    """
+
+    def __init__(self, message, span=None):
+        self.span = span
+        if span is not None:
+            message += f" at offset {span[0]}..{span[1]}"
+        super().__init__(message)
 
 
 # --- expression language ------------------------------------------------------

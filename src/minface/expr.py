@@ -19,15 +19,16 @@ Each ``Expression`` is compiled once, when it is built, into one closure from
 a ``Jet3`` to a ``Jet3`` (univariate Taylor-mode differentiation through the
 ``jets`` operations). ``eval_jet`` calls it; ``eval_value`` reads the value
 slot of the jet at the variable, so a value is reported only where its
-third-order jet is finite. The same compiler, given the array operations of
-``jets``, builds a second closure on first use: ``eval_array`` evaluates the
-jets at every point of an array at once, each element bit-identical to
-``eval_jet`` at that point.
+third-order jet is finite. The same compiler, given the array table of the
+same jet rules (``jets.ARRAY_OPS``), builds a second closure on first use:
+``eval_array`` evaluates the jets at every point of an array at once, each
+element bit-identical to ``eval_jet`` at that point.
 
 Parse errors carry the byte offset of the offending token and a hint of what
 was expected. Every evaluation error is typed: ``DomainError`` (log of a
 non-positive jet), ``DivisionByZero`` and ``NonFiniteResult``. Those raised
-by an operation of the tree carry the source span of that subexpression.
+by an operation of the tree carry the source span of that subexpression;
+both paths raise the same error, message and span.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ import numpy as np
 from . import jets
 from .errors import (DivisionByZero, DomainError, ExpressionSyntaxError,
                      MultipleVariables, NonFiniteResult, NonIntegerExponent)
-from .jets import Jet3
+from .jets import FUNCTIONS, Jet3
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan", "sinh", "cosh")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -358,8 +358,7 @@ def _located(op, node: Node):
 
     An outer derivative can overflow a float ``**`` (OverflowError) or
     divide by an underflowed zero (ZeroDivisionError) before the jet's own
-    finiteness check; either way the jet is not representable. ``math``
-    functions raise ValueError only on an infinite argument.
+    finiteness check; either way the jet is not representable.
     """
     span = node.span
 
@@ -370,11 +369,9 @@ def _located(op, node: Node):
             raise DivisionByZero(span=span) from None
         except DomainError as err:
             raise DomainError(err.fn, err.value, span=span) from None
-        except ValueError:
-            raise DomainError(op.__name__, args[0].value, span=span) from None
-        except (ZeroDivisionError, OverflowError):
-            raise NonFiniteResult(f"non-finite result in jet {op.__name__} "
-                                  f"at offset {span[0]}..{span[1]}") from None
+        except (NonFiniteResult, ZeroDivisionError, OverflowError):
+            raise NonFiniteResult(f"non-finite result in jet {op.__name__}",
+                                  span=span) from None
 
     return at
 

@@ -10,7 +10,6 @@ numpy broadcasts of those axis samples.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,6 +18,7 @@ import numpy as np
 from .curvature import (FLAT_TOL, closed_k_arrays, curve_arrays,
                         extrinsic_k_arrays)
 from .expr import eval_array
+from .jets import float_pow
 from .lorentz import enorm, mdot
 from .surface import (REGULAR_TOL, Surface, as_pair, get_data,
                       normal_arrays)
@@ -101,7 +101,6 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     regular = np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)
     tags = (_curve_flat(vel_u, acc_u).astype(int)[:, None]
             + _curve_flat(vel_v, acc_v)[None, :])
-    # K with numpy's ** (operator.pow), within 4 ulp of the per-point routes
     with np.errstate(all="ignore"):
         if data is not None:
             g1, g2 = eval_array(data.g1, us), eval_array(data.g2, vs)
@@ -114,20 +113,19 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
             # it raises SingularPoint only where denom is 0
             k, denom = closed_k_arrays(
                 g1.value[:, None], g1.d1[:, None], w1[:, None],
-                g2.value[None, :], g2.d1[None, :], w2[None, :], operator.pow)
+                g2.value[None, :], g2.d1[None, :], w2[None, :])
             has_k = (proxies > MESH_SINGULAR_TOL) & (denom != 0.0)
             density = (np.multiply.outer(-0.5 * w1, w2) * one_m
-                       * np.sqrt(one_m ** 2
-                                 + 2.0 * np.add.outer(g1.value, g2.value)
-                                 ** 2))
+                       * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(
+                           np.add.outer(g1.value, g2.value), 2)))
             densities = tuple(density.ravel().tolist())
         else:
             proxies = np.abs(lam)
             f_u, f_uu = 0.5 * vel_u[:, None, :], 0.5 * acc_u[:, None, :]
             f_v, f_vv = 0.5 * vel_v[None, :, :], 0.5 * acc_v[None, :, :]
-            normal, has_normal = normal_arrays(f_u, f_v, operator.pow)
+            normal, has_normal = normal_arrays(f_u, f_v)
             k, has_k = extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, normal,
-                                          has_normal, operator.pow)
+                                          has_normal)
             densities = (None,) * proxies.size
     idx = np.arange(proxies.size).reshape(nu + 1, nv + 1)
     faces = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],

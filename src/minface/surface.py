@@ -34,8 +34,8 @@ from .errors import (DataConversionDegenerate, InvalidCurveData,
                      InvalidWeierstrassData, ModeUnsupported, SingularPoint,
                      SpecFileError)
 from .expr import Expression, eval_array, eval_jet, eval_value, parse
-from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, lift_variable,
-                   shift_derivative)
+from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, float_pow,
+                   lift_variable, shift_derivative)
 from .lorentz import METRIC, enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
@@ -517,14 +517,13 @@ def jets_at(surface: Surface, u: float, v: float,
                       mode)
 
 
-def normal_arrays(f_u, f_v, power, g1=None, g2=None):
+def normal_arrays(f_u, f_v, g1=None, g2=None):
     """The unit normal nu of jets_at at every point, and where it exists.
 
     f_u and f_v are stacks of 3-vectors (trailing axis of size 3) that
     broadcast. nu comes from the data values g1, g2 when given, else from
     the Lorentzian cross product, with jets_at's tests; where it does not
-    exist (jets_at gives None) it holds inf or NaN. ``power`` computes the
-    square in the raw-mode test; ``jets.float_pow`` makes every element
+    exist (jets_at gives None) it holds inf or NaN. Every element is
     bit-identical to jets_at. Run under np.errstate(all="ignore").
     """
     if g1 is not None:
@@ -537,7 +536,7 @@ def normal_arrays(f_u, f_v, power, g1=None, g2=None):
     s2 = mdot(w_l, w_l)
     scale = enorm(f_u) * enorm(f_v)
     return (w_l / np.sqrt(s2)[..., None],
-            s2 > power(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
+            s2 > float_pow(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
 
 
 def mean_curvature_residual(surface: Surface, u: float, v: float) -> float:

@@ -83,9 +83,8 @@ def _k_extrinsic(surface, us, vs, cu, cv):
         g1, g2 = eval_array(d.g1, us).value, eval_array(d.g2, vs).value
     f_u, f_uu, f_v, f_vv = 0.5 * cu[0], 0.5 * cu[1], 0.5 * cv[0], 0.5 * cv[1]
     with np.errstate(all="ignore"):
-        nu, has_nu = normal_arrays(f_u, f_v, float_pow, g1, g2)
-        return extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu,
-                                  float_pow)
+        nu, has_nu = normal_arrays(f_u, f_v, g1, g2)
+        return extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu)
 
 
 def _k_closed(surface, us, vs, cu, cv):
@@ -97,8 +96,7 @@ def _k_closed(surface, us, vs, cu, cv):
     gg = g1.value * g2.value
     with np.errstate(all="ignore"):
         k, denom = closed_k_arrays(g1.value, g1.d1, eval_array(d.w1, us).value,
-                                   g2.value, g2.d1, eval_array(d.w2, vs).value,
-                                   float_pow)
+                                   g2.value, g2.d1, eval_array(d.w2, vs).value)
     return k, (denom != 0.0) & ~(np.abs(1.0 - gg) < 1e-15 * (1.0 + np.abs(gg)))
 
 
@@ -280,7 +278,7 @@ def check_minimality(surface: Surface, n: int = 1000, seed: int = 0,
     f_v = 0.5 * curve_arrays(surface, "v", vs)[0]
     lam = mdot(f_u, f_v)
     with np.errstate(all="ignore"):
-        nu, has_nu = normal_arrays(f_u, f_v, float_pow, g1, g2)
+        nu, has_nu = normal_arrays(f_u, f_v, g1, g2)
         # f_uv vanishes identically, as in jets_at
         residual = 2.0 * mdot(np.zeros(3), nu) / lam
     worst = _worst(np.abs(residual[has_nu & (lam != 0.0)]))

@@ -19,7 +19,7 @@ from minface.errors import (
 )
 from minface.expr import (FUNCTIONS, eval_array, eval_jet, eval_value,
                           negated, parse, to_string)
-from minface.jets import lift_variable
+from minface.jets import ARRAY_OPS, SCALAR_OPS, lift_variable
 
 from oracles import exact_jet
 
@@ -124,6 +124,9 @@ def _entry_points(e, x):
     ("u + 1/(u - 1)", 1.0, DivisionByZero, (4, 13)),
     ("2*(u - 1)^-2", 1.0, DivisionByZero, (2, 12)),
     ("sin(u)", math.inf, DomainError, (0, 6)),
+    ("cos(u)", -math.inf, DomainError, (0, 6)),
+    ("tan(u)", math.inf, DomainError, (0, 6)),
+    ("sqrt(u - 1)", 1.0, DomainError, (0, 11)),
 ])
 def test_evaluation_error_is_located_at_its_node(text, x, error, span):
     messages = set()
@@ -142,11 +145,20 @@ def test_evaluation_error_is_located_at_its_node(text, x, error, span):
     ("u^400", np.float64(10.0)),
     ("atan(u)", 1e60),
     ("u*u", 1e200),        # the value itself overflows to inf
+    ("exp(u)", 1000.0),    # math.exp overflows
 ])
 def test_unrepresentable_jet_raises_non_finite_result(text, x):
+    raised = set()
     for call in _entry_points(parse(text), x):
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(NonFiniteResult) as exc:
             call()
+        raised.add((str(exc.value), exc.value.span))
+    assert len(raised) == 1  # the same message and span on every path
+
+
+def test_scalar_and_array_tables_cover_the_same_operations():
+    assert SCALAR_OPS.keys() == ARRAY_OPS.keys()
+    assert set(FUNCTIONS) | {"+", "-", "*", "/", "^", "neg"} == set(SCALAR_OPS)
 
 
 def test_jet_matches_symbolic_oracle_spot():
