@@ -21,17 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateAtPoint, DegenerateOnInterval, FlatPoint,
                      SingularPoint, SingularNeighborhood)
-from .jets import Jet3, float_pow
-from .lorentz import det3, enorm, mdot, vec3
+from .expr import eval_array
+from .jets import Jet3, elementwise, float_pow
+from .lorentz import METRIC, det3, enorm, mdot, vec3
 from .quadrature import adaptive_quad
-from .surface import (REGULAR_TOL, Surface, SurfaceJet, as_pair, get_data,
-                      jets_at)
+from .surface import (REGULAR_TOL, Surface, SurfaceJet, _prime_array,
+                      as_pair, get_data, jets_at)
 
 FD_STEP = 1e-3
 # A curve counts as degenerate (flat) where its acceleration pseudo-norm is at
@@ -60,19 +62,183 @@ def _unpack(jets) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c1, c2, c3
 
 
-def curve_arrays(surface: Surface, axis: str, ts
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Velocity, acceleration and jerk of a generating curve at every t.
+class AxisSamples:
+    """One generating curve of a surface, sampled at every parameter of ts.
 
-    Each is a (len(ts), 3) array whose rows equal ``_unpack`` of the
-    per-point velocity jets bit for bit.
+    Evaluates once the data jets g and w (g1, w1 on axis u; None on a raw
+    curve pair) and the velocity, acceleration and jerk; the per-axis
+    arrays below derive from them on first use. Each element equals the
+    per-point function at that parameter bit for bit. ts may have any
+    shape: records on ``us[:, None]`` and ``vs[None, :]`` broadcast the
+    two-variable formulas below to a grid.
     """
-    if axis not in ("u", "v"):
-        raise ValueError(f"axis must be 'u' or 'v', not {axis!r}")
-    pair = as_pair(surface)
-    jets = (pair.phi_prime_array if axis == "u" else pair.psi_prime_array)(ts)
-    return tuple(np.stack([getattr(j, slot) for j in jets], axis=-1)
-                 for slot in ("value", "d1", "d2"))
+
+    def __init__(self, surface: Surface, axis: str, ts):
+        if axis not in ("u", "v"):
+            raise ValueError(f"axis must be 'u' or 'v', not {axis!r}")
+        self.surface, self.axis = surface, axis
+        self.ts = np.asarray(ts, dtype=np.float64)
+        d = get_data(surface)
+        if d is None:
+            pair = as_pair(surface)
+            self.g = self.w = None
+            jets = (pair.phi_prime_array if axis == "u"
+                    else pair.psi_prime_array)(self.ts)
+        else:
+            self.g, self.w = (eval_array(e, self.ts) for e in (
+                (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)))
+            jets = _prime_array(axis, self.g, self.w)
+        self.vel, self.acc, self.jerk = (
+            np.stack([getattr(j, slot) for j in jets], axis=-1)
+            for slot in ("value", "d1", "d2"))
+
+    def shifted(self, step: float) -> "AxisSamples":
+        """The record at ts + step."""
+        return AxisSamples(self.surface, self.axis, self.ts + step)
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Where the curve degenerates, as flat_classify tests it."""
+        scale = (1.0 + enorm(self.vel) + enorm(self.acc)) ** 2
+        return np.abs(mdot(self.acc, self.acc)) <= FLAT_TOL * scale
+
+    @cached_property
+    def orientation(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Signs of ``orientation`` at each t, and where it has one."""
+        det = np.linalg.det(np.stack([self.vel, self.acc, self.jerk],
+                                     axis=-1))
+        scale = ((1.0 + enorm(self.vel)) * (1.0 + enorm(self.acc))
+                 * (1.0 + enorm(self.jerk)))
+        return np.where(det > 0, 1, -1), ~(np.abs(det) <= 1e-12 * scale)
+
+    @cached_property
+    def quartic_root(self) -> np.ndarray:
+        """<gamma'', gamma''>^(1/4) at each t, 0 where not positive."""
+        return float_pow(np.fmax(mdot(self.acc, self.acc), 0.0), 0.25)
+
+    def winding_sign(self, step: float = 1e-5):
+        """``_angle_rate_sign`` at each t, and where it has one."""
+
+        def angle(c1):
+            fwd = c1 * np.where(c1[..., 0] > 0, 1.0, -1.0)[..., None]
+            return _atan2(fwd[..., 2], fwd[..., 1])
+
+        delta = (angle(self.shifted(step).vel)
+                 - angle(self.shifted(-step).vel))
+        delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+        return (np.where(delta > 0, 1, -1)
+                * np.where(self.vel[..., 0] > 0, 1, -1), delta != 0.0)
+
+    def gauge_rate(self, fd_step: float = 1e-5):
+        """t_s = 1/q of ``reparam_jet`` at each t, and where it has one."""
+        accs = [self.acc, self.shifted(fd_step).acc,
+                self.shifted(-fd_step).acc]
+        q4s = [mdot(acc, acc) for acc in accs]
+        ok = np.logical_and.reduce(
+            [~(q4 <= _DEGENERACY_TOL * float_pow(1.0 + enorm(acc), 2))
+             for q4, acc in zip(q4s, accs)])
+        return 1.0 / float_pow(np.where(ok, q4s[0], 1.0), 0.25), ok
+
+
+def gathered(parts, index) -> AxisSamples:
+    """The record at ts[index] of the parts' (one axis, one surface) joined
+    parameters, sliced from them, not evaluated again."""
+
+    def pick(arrays):
+        return np.concatenate(arrays)[index]
+
+    def jet(name):
+        return None if parts[0].g is None else Jet3(*map(pick, zip(
+            *(getattr(p, name).as_tuple() for p in parts))))
+
+    out = object.__new__(AxisSamples)
+    out.surface, out.axis = parts[0].surface, parts[0].axis
+    out.ts, out.g, out.w = pick([p.ts for p in parts]), jet("g"), jet("w")
+    out.vel, out.acc, out.jerk = (pick([getattr(p, name) for p in parts])
+                                  for name in ("vel", "acc", "jerk"))
+    return out
+
+
+# Two-variable quantities at each (u, v) of a u-record su and a v-record sv,
+# each with a mask of where the per-point function returns rather than
+# raises; a masked element may hold inf or NaN.
+
+_log = elementwise(math.log)
+_atan2 = elementwise(math.atan2, 2)
+
+
+def regular_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
+    """Where ``_require_regular`` passes."""
+    lam = 0.25 * mdot(su.vel, sv.vel)
+    scale = enorm(su.vel) * enorm(sv.vel)
+    return ~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300))
+
+
+def normal_samples(su: AxisSamples, sv: AxisSamples):
+    """The unit normal nu of jets_at, by its formula and tests."""
+    with np.errstate(all="ignore"):
+        if su.g is not None:
+            g1, g2 = su.g.value, sv.g.value
+            gg = g1 * g2
+            denom = np.abs(1.0 - gg)
+            nu = (np.stack([g1 + g2, g1 - g2, -1.0 - gg], axis=-1)
+                  / denom[..., None])
+            return nu, denom > 1e-14 * (1.0 + np.abs(gg))
+        f_u, f_v = 0.5 * su.vel, 0.5 * sv.vel
+        w_l = np.cross(f_u, f_v) * METRIC
+        s2 = mdot(w_l, w_l)
+        scale = enorm(f_u) * enorm(f_v)
+        return (w_l / np.sqrt(s2)[..., None],
+                s2 > float_pow(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
+
+
+def closed_k_samples(su: AxisSamples, sv: AxisSamples):
+    """gaussian_curvature by its closed route (extrinsic on a raw pair)."""
+    if su.g is None:
+        return extrinsic_k_samples(su, sv)
+    with np.errstate(all="ignore"):
+        gg = su.g.value * sv.g.value
+        denom = su.w.value * sv.w.value * float_pow(1.0 - gg, 4)
+        k = 4.0 * su.g.d1 * sv.g.d1 / denom
+        return k, (denom != 0.0) & ~(np.abs(1.0 - gg)
+                                     < 1e-15 * (1.0 + np.abs(gg)))
+
+
+def extrinsic_k_samples(su: AxisSamples, sv: AxisSamples):
+    """gaussian_curvature(method="extrinsic"): K = -Q R / Lambda^2."""
+    nu, has_nu = normal_samples(su, sv)
+    f_u, f_v = 0.5 * su.vel, 0.5 * sv.vel
+    with np.errstate(all="ignore"):
+        lam = mdot(f_u, f_v)
+        scale = enorm(f_u) * enorm(f_v)
+        k = (-mdot(0.5 * su.acc, nu) * mdot(0.5 * sv.acc, nu)
+             / float_pow(lam, 2))
+        return k, has_nu & (np.abs(lam)
+                            > REGULAR_TOL * np.maximum(scale, 1e-300))
+
+
+def intrinsic_k_samples(su: AxisSamples, sv: AxisSamples, h: float = FD_STEP):
+    """gaussian_curvature_intrinsic_fd on the stencil of half-width h."""
+    up, um = su.shifted(h).vel, su.shifted(-h).vel
+    vp, vm = sv.shifted(h).vel, sv.shifted(-h).vel
+    with np.errstate(all="ignore"):
+        lam0 = 0.25 * mdot(su.vel, sv.vel)
+        corners = [0.25 * mdot(a, b)
+                   for a, b in ((up, vp), (up, vm), (um, vp), (um, vm))]
+        ok = lam0 != 0.0
+        for c in corners:
+            ok &= ~((c == 0.0) | ((c > 0) != (lam0 > 0)))
+        pp, pm, mp, mm = (_log(np.where(ok, np.abs(c), 1.0))
+                          for c in corners)
+        mixed = (pp - pm - mp + mm) / (4.0 * h * h)
+        return -mixed / lam0, ok
+
+
+def sign_prediction_samples(su: AxisSamples, sv: AxisSamples):
+    """``sign_prediction``: the product of the two curve orientations."""
+    e_phi, ok_u = su.orientation
+    e_psi, ok_v = sv.orientation
+    return e_phi * e_psi, regular_samples(su, sv) & ok_u & ok_v
 
 
 def _require_regular(surface: Surface, u: float, v: float) -> float:
@@ -156,34 +322,6 @@ def gaussian_curvature(surface: Surface, u: float, v: float,
         return gaussian_curvature_intrinsic_fd(surface, u, v, h)
 
     raise ValueError(f"unknown method {method!r}")
-
-
-# The closed and extrinsic routes on arrays of points, for the mesh and the
-# battery; each element is bit-identical to the per-point route. Run under
-# np.errstate(all="ignore").
-
-
-def closed_k_arrays(g1, g1p, w1, g2, g2p, w2):
-    """K = 4 g1' g2' / (w1 w2 (1 - g1 g2)^4) elementwise, and its denominator.
-
-    The arguments are data values and derivatives that broadcast together.
-    """
-    denom = w1 * w2 * float_pow(1.0 - g1 * g2, 4)
-    return 4.0 * g1p * g2p / denom, denom
-
-
-def extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu):
-    """K = -Q R / Lambda^2 elementwise, and where it exists.
-
-    Stacks of 3-vectors that broadcast together, with the normal and its
-    mask from ``surface.normal_arrays``. K exists where
-    gaussian_curvature_extrinsic returns one (where it raises SingularPoint
-    it does not).
-    """
-    lam = mdot(f_u, f_v)
-    scale = enorm(f_u) * enorm(f_v)
-    k = -mdot(f_uu, nu) * mdot(f_vv, nu) / float_pow(lam, 2)
-    return k, has_nu & (np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300))
 
 
 # --- flat points --------------------------------------------------------------

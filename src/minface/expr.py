@@ -116,7 +116,7 @@ class Expression:
         init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_jet", _compile(self.root, jets.SCALAR_OPS))
+        object.__setattr__(self, "_jet", _compiled(self.root, jets.SCALAR_OPS))
 
     def __str__(self):
         return to_string(self)
@@ -312,12 +312,34 @@ def eval_array(e: Expression, ts) -> Jet3:
     offending element.
     """
     if e._array_jet is None:
-        object.__setattr__(e, "_array_jet", _compile(e.root, jets.ARRAY_OPS))
+        object.__setattr__(e, "_array_jet", _compiled(e.root, jets.ARRAY_OPS))
     ts = np.array(ts, dtype=np.float64)
     with np.errstate(all="ignore"):
         j = e._array_jet(Jet3(ts, 1.0, 0.0, 0.0))
     return Jet3(*(s if np.shape(s) == ts.shape else np.full(ts.shape, s)
                   for s in j.as_tuple()))
+
+
+def _compiled(root: Node, ops: dict) -> Callable[[Jet3], Jet3]:
+    """_compile, plus a finiteness test for a leaf under negations.
+
+    Every other operation tests its own result, so no other tree pays.
+    """
+    f, leaf = _compile(root, ops), root
+    while isinstance(leaf, Neg):
+        leaf = leaf.child
+    if not isinstance(leaf, (Var, Num)):
+        return f
+    finite = (math.isfinite if ops is jets.SCALAR_OPS
+              else lambda s: np.isfinite(s).all())
+
+    def checked(x: Jet3) -> Jet3:
+        j = f(x)
+        if not finite(j.value):
+            raise NonFiniteResult("non-finite value", span=root.span)
+        return j
+
+    return checked
 
 
 def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
@@ -415,9 +437,9 @@ def _fmt(node: Node) -> str:
         if _prec(node.left) < p:
             left = f"({left})"
         right = _fmt(node.right)
-        # Left-associative: the right child needs parens at equal precedence
-        # for the non-commutative spellings.
-        if _prec(node.right) < p or (_prec(node.right) == p and node.op in "-/"):
+        # Left-associative: a right child at equal precedence needs parens,
+        # also under + and *, whose float forms do not associate.
+        if _prec(node.right) <= p:
             right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"unknown node {node!r}")

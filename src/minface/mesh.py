@@ -3,9 +3,9 @@
 The mesh is a plain triangulated regular grid over the parameter rectangle.
 Scalar fields (curvature, signed area density, flat tag, proximity to the
 singular set) ride along with each vertex so exports need no recomputation.
-Every field is built from one-variable functions of u and of v, so each
-generating curve is evaluated once per grid axis and the vertex fields are
-numpy broadcasts of those axis samples.
+Every field is built from one-variable functions of u and of v: each
+generating curve is sampled once per grid axis (``curvature.AxisSamples``),
+and the vertex fields are two-variable formulas broadcast over the records.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import (FLAT_TOL, closed_k_arrays, curve_arrays,
-                        extrinsic_k_arrays)
-from .expr import eval_array
+from .curvature import (AxisSamples, closed_k_samples, extrinsic_k_samples,
+                        regular_samples)
 from .jets import float_pow
-from .lorentz import enorm, mdot
-from .surface import (REGULAR_TOL, Surface, as_pair, get_data,
-                      normal_arrays)
+from .lorentz import mdot
+from .surface import Surface, as_pair
 
 # A vertex counts as singular (its K cell is left absent) when the proximity
 # proxy |g1 g2 - 1| falls below this.
@@ -61,12 +59,6 @@ class SurfaceMesh:
                 for i in range(len(self.positions))]
 
 
-def _curve_flat(vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Per axis point, whether the curve degenerates (as flat_classify)."""
-    scale = (1.0 + enorm(vel) + enorm(acc)) ** 2
-    return np.abs(mdot(acc, acc)) <= FLAT_TOL * scale
-
-
 def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
     """Row-major tuple of the values, with None where keep is false."""
     return tuple(x if k else None
@@ -86,7 +78,6 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     if nu < 2 or nv < 2:
         raise ValueError(f"need nu, nv >= 2, got ({nu!r}, {nv!r})")
     pair = as_pair(d)
-    data = get_data(d)
     us = pair.domain.u_grid(nu + 1)
     vs = pair.domain.v_grid(nv + 1)
     # positions split into per-axis curve integrals, so sample each axis once
@@ -94,45 +85,30 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     psi = np.array([pair.psi_delta(v) for v in vs])
     positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
     params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
-    vel_u, acc_u, _ = curve_arrays(pair, "u", us)
-    vel_v, acc_v, _ = curve_arrays(pair, "v", vs)
-    lam = 0.25 * mdot(vel_u[:, None, :], vel_v[None, :, :])
-    scale = enorm(vel_u)[:, None] * enorm(vel_v)[None, :]
-    regular = np.abs(lam) > REGULAR_TOL * np.maximum(scale, 1e-300)
-    tags = (_curve_flat(vel_u, acc_u).astype(int)[:, None]
-            + _curve_flat(vel_v, acc_v)[None, :])
-    with np.errstate(all="ignore"):
-        if data is not None:
-            g1, g2 = eval_array(data.g1, us), eval_array(data.g2, vs)
-            w1 = eval_array(data.w1, us).value
-            w2 = eval_array(data.w2, vs).value
-            gg = np.multiply.outer(g1.value, g2.value)
+    su, sv = AxisSamples(d, "u", us[:, None]), AxisSamples(d, "v", vs[None, :])
+    tags = su.flat.astype(int) + sv.flat
+    if su.g is not None:
+        with np.errstate(all="ignore"):
+            gg = su.g.value * sv.g.value
             proxies = np.abs(gg - 1.0)
             one_m = 1.0 - gg
-            # the closed route of gaussian_curvature; off the singular band
-            # it raises SingularPoint only where denom is 0
-            k, denom = closed_k_arrays(
-                g1.value[:, None], g1.d1[:, None], w1[:, None],
-                g2.value[None, :], g2.d1[None, :], w2[None, :])
-            has_k = (proxies > MESH_SINGULAR_TOL) & (denom != 0.0)
-            density = (np.multiply.outer(-0.5 * w1, w2) * one_m
+            density = (-0.5 * su.w.value * sv.w.value * one_m
                        * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(
-                           np.add.outer(g1.value, g2.value), 2)))
-            densities = tuple(density.ravel().tolist())
-        else:
-            proxies = np.abs(lam)
-            f_u, f_uu = 0.5 * vel_u[:, None, :], 0.5 * acc_u[:, None, :]
-            f_v, f_vv = 0.5 * vel_v[None, :, :], 0.5 * acc_v[None, :, :]
-            normal, has_normal = normal_arrays(f_u, f_v)
-            k, has_k = extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, normal,
-                                          has_normal)
-            densities = (None,) * proxies.size
+                           su.g.value + sv.g.value, 2)))
+        densities = tuple(density.ravel().tolist())
+        # the closed route of gaussian_curvature, withheld on the band
+        k, has_k = closed_k_samples(su, sv)
+        has_k &= proxies > MESH_SINGULAR_TOL
+    else:
+        proxies = np.abs(0.25 * mdot(su.vel, sv.vel))
+        densities = (None,) * proxies.size
+        k, has_k = extrinsic_k_samples(su, sv)
     idx = np.arange(proxies.size).reshape(nu + 1, nv + 1)
     faces = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],
                       idx[:-1, :-1], idx[1:, 1:], idx[:-1, 1:]], axis=-1)
     return SurfaceMesh(params, positions.reshape(-1, 3), _cells(k, has_k),
-                       densities, _cells(tags, regular), proxies.ravel(),
-                       faces.reshape(-1, 3), nu, nv)
+                       densities, _cells(tags, regular_samples(su, sv)),
+                       proxies.ravel(), faces.reshape(-1, 3), nu, nv)
 
 
 def _write_text(destination, text: str) -> None:

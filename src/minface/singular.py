@@ -27,7 +27,7 @@ from .errors import (DegenerateSingular, DivisionByZero, DomainError,
                      NotSingular, RootNotConverged, SingularPoint)
 from .expr import Expression, eval_array, eval_value
 from .jets import ARRAY_OPS, elementwise, float_pow, shift_derivative
-from .lorentz import det3, enorm, vec3
+from .lorentz import det3
 from .surface import (RealWeierstrassData, Surface, jets_at, require_data)
 
 DEFAULT_TOL = 1e-9

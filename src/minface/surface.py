@@ -34,9 +34,9 @@ from .errors import (DataConversionDegenerate, InvalidCurveData,
                      InvalidWeierstrassData, ModeUnsupported, SingularPoint,
                      SpecFileError)
 from .expr import Expression, eval_array, eval_jet, eval_value, parse
-from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, float_pow,
-                   lift_variable, shift_derivative)
-from .lorentz import METRIC, enorm, mdot, vec3
+from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, lift_variable,
+                   shift_derivative)
+from .lorentz import enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
 QUAD_TOL = 1e-12
@@ -273,6 +273,14 @@ def _psi_jets(ops, g: Jet3, w: Jet3) -> tuple:
             mul(mul(_MINUS_TWO, g), w))
 
 
+def _prime_array(axis: str, g: Jet3, w: Jet3) -> tuple:
+    """phi' (axis u) or psi' (axis v) from the array jets of g and w."""
+    # a non-finite element fails the array ops' finiteness test; numpy
+    # must not warn about it first
+    with np.errstate(all="ignore"):
+        return (_phi_jets if axis == "u" else _psi_jets)(ARRAY_OPS, g, w)
+
+
 def curves_from_data(d: RealWeierstrassData) -> NullCurvePair:
     """Velocity jets of the null curves determined by the data functions.
 
@@ -289,17 +297,11 @@ def curves_from_data(d: RealWeierstrassData) -> NullCurvePair:
         x = lift_variable(v)
         return _psi_jets(SCALAR_OPS, eval_jet(g2, x), eval_jet(w2, x))
 
-    # a non-finite element fails the array ops' finiteness test; numpy
-    # must not warn about it first
     def phi_prime_array(us):
-        with np.errstate(all="ignore"):
-            return _phi_jets(ARRAY_OPS, eval_array(g1, us),
-                             eval_array(w1, us))
+        return _prime_array("u", eval_array(g1, us), eval_array(w1, us))
 
     def psi_prime_array(vs):
-        with np.errstate(all="ignore"):
-            return _psi_jets(ARRAY_OPS, eval_array(g2, vs),
-                             eval_array(w2, vs))
+        return _prime_array("v", eval_array(g2, vs), eval_array(w2, vs))
 
     return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
                          psi_prime_array, d.domain, d.base, d.f0.copy(),
@@ -515,28 +517,6 @@ def jets_at(surface: Surface, u: float, v: float,
         mode = "curves"
     return SurfaceJet(u, v, f, f_u, f_v, f_uu, f_vv, f_uv, lam, n, nu, Q, R,
                       mode)
-
-
-def normal_arrays(f_u, f_v, g1=None, g2=None):
-    """The unit normal nu of jets_at at every point, and where it exists.
-
-    f_u and f_v are stacks of 3-vectors (trailing axis of size 3) that
-    broadcast. nu comes from the data values g1, g2 when given, else from
-    the Lorentzian cross product, with jets_at's tests; where it does not
-    exist (jets_at gives None) it holds inf or NaN. Every element is
-    bit-identical to jets_at. Run under np.errstate(all="ignore").
-    """
-    if g1 is not None:
-        gg = g1 * g2
-        denom = np.abs(1.0 - gg)
-        nu = (np.stack([g1 + g2, g1 - g2, -1.0 - gg], axis=-1)
-              / denom[..., None])
-        return nu, denom > 1e-14 * (1.0 + np.abs(gg))
-    w_l = np.cross(f_u, f_v) * METRIC
-    s2 = mdot(w_l, w_l)
-    scale = enorm(f_u) * enorm(f_v)
-    return (w_l / np.sqrt(s2)[..., None],
-            s2 > float_pow(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
 
 
 def mean_curvature_residual(surface: Surface, u: float, v: float) -> float:

@@ -3,6 +3,12 @@
 Every check is deterministic given its seed and returns the worst error it
 saw, so the CLI can print a table and exit nonzero on any failure. The same
 functions back the acceptance test suite.
+
+The point-sampled checks never evaluate a generating curve on their own:
+the sampler evaluates one ``curvature.AxisSamples`` record per axis on its
+candidates and hands each check the records of the points it kept, sliced
+from those, and the checks read every quantity off them through the
+two-variable formulas of ``curvature``.
 """
 
 from __future__ import annotations
@@ -13,19 +19,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .curvature import (_DEGENERACY_TOL, closed_k_arrays, curve_arrays,
-                        extrinsic_k_arrays)
+from .curvature import (AxisSamples, closed_k_samples, extrinsic_k_samples,
+                        gathered, intrinsic_k_samples, normal_samples,
+                        sign_prediction_samples)
 from .errors import MinfaceError
 from .expr import eval_array, eval_value
-from .jets import elementwise, float_pow
+from .jets import float_pow
 from .lorentz import enorm, mdot
 from .singular import (SingularClassification, all_reports, classify_singular,
                        directions_at, normal_twist_identity,
                        signed_area_density, singular_data, trace_singular_set,
                        verify_main_theorem)
-from .surface import (REGULAR_TOL, RealWeierstrassData, Rect, Surface,
-                      as_pair, conjugate_data, data_from_curves, get_data,
-                      normal_arrays, require_data)
+from .surface import (RealWeierstrassData, Rect, Surface, as_pair,
+                      conjugate_data, data_from_curves, get_data,
+                      require_data)
 
 
 @dataclass
@@ -44,18 +51,10 @@ class CheckResult:
         return f"{status:4s}  {self.name:28s} n={self.count}{err}{extra}"
 
 
-# --- per-point quantities on arrays of points ----------------------------------
+# --- point sampling ----------------------------------------------------------
 #
-# The point-sampled checks evaluate each generating curve once per array of
-# sample points. Each helper below mirrors a per-point function of
-# ``curvature`` or ``surface`` step by step, with libm for every ** and math
-# call, so each element is bit-identical to that function at that point, and
-# returns a mask of where the function returns rather than raising
-# SingularPoint, SingularNeighborhood, FlatPoint or DegenerateAtPoint. The
-# per-point functions stay the reference in the tests.
-
-_log = elementwise(math.log)
-_atan2 = elementwise(math.atan2, 2)
+# Each element the checks read off the records is bit-identical to the
+# per-point function at that point, which stays the reference in the tests.
 
 
 def _worst(errors) -> float:
@@ -63,128 +62,39 @@ def _worst(errors) -> float:
     return float(np.fmax.reduce(errors, initial=0.0))
 
 
-def _columns(pts) -> Tuple[np.ndarray, np.ndarray]:
-    a = np.array(pts, dtype=np.float64).reshape(-1, 2)
-    return a[:, 0], a[:, 1]
-
-
-def _regular(vel_u, vel_v) -> np.ndarray:
-    """Where curvature._require_regular passes."""
-    lam = 0.25 * mdot(vel_u, vel_v)
-    scale = enorm(vel_u) * enorm(vel_v)
-    return ~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300))
-
-
-def _k_extrinsic(surface, us, vs, cu, cv):
-    """gaussian_curvature(method="extrinsic") at each point, and where."""
-    d = get_data(surface)
-    g1 = g2 = None
-    if d is not None:
-        g1, g2 = eval_array(d.g1, us).value, eval_array(d.g2, vs).value
-    f_u, f_uu, f_v, f_vv = 0.5 * cu[0], 0.5 * cu[1], 0.5 * cv[0], 0.5 * cv[1]
-    with np.errstate(all="ignore"):
-        nu, has_nu = normal_arrays(f_u, f_v, g1, g2)
-        return extrinsic_k_arrays(f_u, f_uu, f_v, f_vv, nu, has_nu)
-
-
-def _k_closed(surface, us, vs, cu, cv):
-    """gaussian_curvature (the closed route) at each point, and where."""
-    d = get_data(surface)
-    if d is None:
-        return _k_extrinsic(surface, us, vs, cu, cv)
-    g1, g2 = eval_array(d.g1, us), eval_array(d.g2, vs)
-    gg = g1.value * g2.value
-    with np.errstate(all="ignore"):
-        k, denom = closed_k_arrays(g1.value, g1.d1, eval_array(d.w1, us).value,
-                                   g2.value, g2.d1, eval_array(d.w2, vs).value)
-    return k, (denom != 0.0) & ~(np.abs(1.0 - gg) < 1e-15 * (1.0 + np.abs(gg)))
-
-
-def _k_intrinsic(surface, us, vs, vel_u, vel_v, h):
-    """gaussian_curvature_intrinsic_fd at each point, and where."""
-    lam0 = 0.25 * mdot(vel_u, vel_v)
-    up, um = (curve_arrays(surface, "u", us + s * h)[0] for s in (1, -1))
-    vp, vm = (curve_arrays(surface, "v", vs + s * h)[0] for s in (1, -1))
-    corners = [0.25 * mdot(a, b)
-               for a, b in ((up, vp), (up, vm), (um, vp), (um, vm))]
-    ok = lam0 != 0.0
-    for c in corners:
-        ok &= ~((c == 0.0) | ((c > 0) != (lam0 > 0)))
-    pp, pm, mp, mm = (_log(np.where(ok, np.abs(c), 1.0)) for c in corners)
-    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
-    with np.errstate(all="ignore"):
-        return -mixed / lam0, ok
-
-
-def _orientation(c1, c2, c3, tol: float = 1e-12):
-    """Signs of curvature.orientation at each row, and where it has one."""
-    det = np.linalg.det(np.stack([c1, c2, c3], axis=-1))
-    scale = (1.0 + enorm(c1)) * (1.0 + enorm(c2)) * (1.0 + enorm(c3))
-    return np.where(det > 0, 1, -1), ~(np.abs(det) <= tol * scale)
-
-
-def _sign_prediction(cu, cv):
-    """curvature.sign_prediction at each point, and where it gives one."""
-    e_phi, ok_u = _orientation(*cu)
-    e_psi, ok_v = _orientation(*cv)
-    return e_phi * e_psi, _regular(cu[0], cv[0]) & ok_u & ok_v
-
-
-def _winding_sign(surface, axis: str, ts, vel, step: float = 1e-5):
-    """curvature._angle_rate_sign at each t (velocity vel), and where."""
-
-    def angle(c1):
-        fwd = c1 * np.where(c1[:, 0] > 0, 1.0, -1.0)[:, None]
-        return _atan2(fwd[:, 2], fwd[:, 1])
-
-    delta = (angle(curve_arrays(surface, axis, ts + step)[0])
-             - angle(curve_arrays(surface, axis, ts - step)[0]))
-    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    return (np.where(delta > 0, 1, -1) * np.where(vel[:, 0] > 0, 1, -1),
-            delta != 0.0)
-
-
-def _gauge_rate(surface, axis: str, ts, fd_step: float = 1e-5):
-    """t_s = 1/q of curvature.reparam_jet at each t, and where it has one."""
-    accs = [curve_arrays(surface, axis, t)[1]
-            for t in (ts, ts + fd_step, ts - fd_step)]
-    q4s = [mdot(acc, acc) for acc in accs]
-    ok = np.logical_and.reduce(
-        [~(q4 <= _DEGENERACY_TOL * float_pow(1.0 + enorm(acc), 2))
-         for q4, acc in zip(q4s, accs)])
-    return 1.0 / float_pow(np.where(ok, q4s[0], 1.0), 0.25), ok
-
-
-# --- point sampling ----------------------------------------------------------
-
-
-def _acc_quartic_root(acc) -> np.ndarray:
-    """<gamma'', gamma''>^(1/4) at each row of acc, 0 where not positive."""
-    q4 = mdot(acc, acc)
-    q = np.zeros_like(q4)
-    pos = q4 > 0
-    q[pos] = float_pow(q4[pos], 0.25)
-    return q
-
-
-def _admissible(surface, us, vs, nonflat, singular_margin, flat_floor):
-    """Where sample_regular_points keeps each (u, v)."""
-    d = get_data(surface)
-    if d is not None and not nonflat:
-        cu = cv = None
-    else:
-        cu, cv = curve_arrays(surface, "u", us), curve_arrays(surface, "v", vs)
-    if d is not None:
-        prod = eval_array(d.g1, us).value * eval_array(d.g2, vs).value
-        keep = ~(np.abs(1.0 - prod) < singular_margin * (1.0 + np.abs(prod)))
-    else:
-        f_u, f_v = 0.5 * cu[0], 0.5 * cv[0]
-        keep = ~(np.abs(mdot(f_u, f_v)) < singular_margin
-                 * np.maximum(enorm(f_u) * enorm(f_v), 1e-30))
-    if nonflat:
-        keep &= ~((_acc_quartic_root(cu[1]) < flat_floor)
-                  | (_acc_quartic_root(cv[1]) < flat_floor))
-    return keep
+def _regular_samples(surface: Surface, n: int, rng, nonflat: bool = True,
+                     singular_margin: float = 0.05, flat_floor: float = 0.1):
+    """The u- and v-records of the points sample_regular_points keeps."""
+    dom = as_pair(surface).domain
+    low, high = [dom.u_min, dom.v_min], [dom.u_max, dom.v_max]
+    blocks, index = [], []  # the candidates' records, the kept candidates
+    attempts = kept = 0
+    while kept < n and attempts < 80 * n:
+        # twice the points still missing: one block usually suffices where
+        # more than half of the candidates pass
+        k = min(80 * n - attempts, max(2 * (n - kept), 64))
+        uv = rng.uniform(low, high, (k, 2))
+        su = AxisSamples(surface, "u", uv[:, 0])
+        sv = AxisSamples(surface, "v", uv[:, 1])
+        if su.g is not None:
+            prod = su.g.value * sv.g.value
+            keep = ~(np.abs(1.0 - prod)
+                     < singular_margin * (1.0 + np.abs(prod)))
+        else:
+            f_u, f_v = 0.5 * su.vel, 0.5 * sv.vel
+            keep = ~(np.abs(mdot(f_u, f_v)) < singular_margin
+                     * np.maximum(enorm(f_u) * enorm(f_v), 1e-30))
+        if nonflat:
+            keep &= ~((su.quartic_root < flat_floor)
+                      | (sv.quartic_root < flat_floor))
+        index.append(attempts + np.flatnonzero(keep)[:n - kept])
+        blocks.append((su, sv))
+        kept += len(index[-1])
+        attempts += k
+    if not blocks:  # n < 1
+        return AxisSamples(surface, "u", []), AxisSamples(surface, "v", [])
+    return tuple(gathered(parts, np.concatenate(index))
+                 for parts in zip(*blocks))
 
 
 def sample_regular_points(surface: Surface, n: int, rng,
@@ -201,20 +111,9 @@ def sample_regular_points(surface: Surface, n: int, rng,
     budget runs out). Candidates are drawn and tested in blocks, so rng
     may advance past the last candidate used.
     """
-    dom = as_pair(surface).domain
-    low, high = [dom.u_min, dom.v_min], [dom.u_max, dom.v_max]
-    points = []
-    attempts = 0
-    while len(points) < n and attempts < 80 * n:
-        # twice the points still missing: one block usually suffices where
-        # more than half of the candidates pass
-        k = min(80 * n - attempts, max(2 * (n - len(points)), 64))
-        uv = rng.uniform(low, high, (k, 2))
-        attempts += k
-        keep = _admissible(surface, uv[:, 0], uv[:, 1], nonflat,
-                           singular_margin, flat_floor)
-        points += [tuple(p) for p in uv[keep][:n - len(points)].tolist()]
-    return points
+    su, sv = _regular_samples(surface, n, rng, nonflat, singular_margin,
+                              flat_floor)
+    return list(zip(su.ts.tolist(), sv.ts.tolist()))
 
 
 # --- per-surface checks -------------------------------------------------------
@@ -228,7 +127,7 @@ def check_null_generators(surface: Surface, n: int = 100,
     uv = rng.uniform([dom.u_min, dom.v_min], [dom.u_max, dom.v_max], (n, 2))
     worst = 0.0
     for axis, ts in (("u", uv[:, 0]), ("v", uv[:, 1])):
-        vel = curve_arrays(surface, axis, ts)[0]
+        vel = AxisSamples(surface, axis, ts).vel
         # vel @ vel row by row: numpy's dot, which a sum of squares can
         # differ from in the last bit
         speed2 = (vel[:, None, :] @ vel[:, :, None])[:, 0, 0]
@@ -245,13 +144,11 @@ def check_curvature_routes(surface: Surface, n: int = 1000, seed: int = 0,
     The finite-difference route needs breathing room from the singular set
     (log|Lambda| derivatives blow up there), hence the wider margin.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_regular_points(surface, n, rng, singular_margin=0.1)
-    us, vs = _columns(pts)
-    cu, cv = curve_arrays(surface, "u", us), curve_arrays(surface, "v", vs)
-    kc, ok_c = _k_closed(surface, us, vs, cu, cv)
-    ke, ok_e = _k_extrinsic(surface, us, vs, cu, cv)
-    ki, ok_i = _k_intrinsic(surface, us, vs, cu[0], cv[0], h)
+    su, sv = _regular_samples(surface, n, np.random.default_rng(seed),
+                              singular_margin=0.1)
+    kc, ok_c = closed_k_samples(su, sv)
+    ke, ok_e = extrinsic_k_samples(su, sv)
+    ki, ok_i = intrinsic_k_samples(su, sv, h)
     ok = ok_c & ok_e & ok_i
     kc, ke, ki = kc[ok], ke[ok], ki[ok]
     scale = np.maximum(np.maximum(np.abs(kc), np.abs(ke)), 1e-300)
@@ -260,85 +157,71 @@ def check_curvature_routes(surface: Surface, n: int = 1000, seed: int = 0,
     # some point must survive the skips
     passed = worst_pair < rtol_pair and worst_fd < rtol_fd and kc.size > 0
     return CheckResult(
-        "curvature_routes", passed, max(worst_pair, worst_fd), len(pts),
+        "curvature_routes", passed, max(worst_pair, worst_fd), su.ts.size,
         f"pairwise {worst_pair:.2e}, finite-diff {worst_fd:.2e}")
 
 
 def check_minimality(surface: Surface, n: int = 1000, seed: int = 0,
                      tol: float = 1e-10) -> CheckResult:
-    """|2 <f_uv, nu> / Lambda| below tol at random regular points."""
-    rng = np.random.default_rng(seed)
-    pts = sample_regular_points(surface, n, rng, nonflat=False)
-    us, vs = _columns(pts)
-    d = get_data(surface)
-    g1 = g2 = None
-    if d is not None:
-        g1, g2 = eval_array(d.g1, us).value, eval_array(d.g2, vs).value
-    f_u = 0.5 * curve_arrays(surface, "u", us)[0]
-    f_v = 0.5 * curve_arrays(surface, "v", vs)[0]
-    lam = mdot(f_u, f_v)
+    """|2 <f_uv, nu> / Lambda| below tol at random regular points.
+
+    f_uv vanishes identically in null coordinates, so this checks the
+    assembly of nu and Lambda, not the positions.
+    """
+    su, sv = _regular_samples(surface, n, np.random.default_rng(seed),
+                              nonflat=False)
+    nu, has_nu = normal_samples(su, sv)
+    lam = mdot(0.5 * su.vel, 0.5 * sv.vel)
     with np.errstate(all="ignore"):
-        nu, has_nu = normal_arrays(f_u, f_v, g1, g2)
-        # f_uv vanishes identically, as in jets_at
         residual = 2.0 * mdot(np.zeros(3), nu) / lam
     worst = _worst(np.abs(residual[has_nu & (lam != 0.0)]))
-    return CheckResult("minimality", worst < tol and bool(pts), worst,
-                       len(pts))
+    return CheckResult("minimality", worst < tol and su.ts.size > 0, worst,
+                       su.ts.size)
 
 
 def check_sign_theorem(surface: Surface, n: int = 200,
                        seed: int = 0) -> CheckResult:
     """sign K = (orientation of phi) * (orientation of psi), no exceptions."""
-    rng = np.random.default_rng(seed)
-    pts = sample_regular_points(surface, n, rng)
-    us, vs = _columns(pts)
-    cu, cv = curve_arrays(surface, "u", us), curve_arrays(surface, "v", vs)
-    k, ok_k = _k_closed(surface, us, vs, cu, cv)
-    pred, ok_p = _sign_prediction(cu, cv)
+    su, sv = _regular_samples(surface, n, np.random.default_rng(seed))
+    k, ok_k = closed_k_samples(su, sv)
+    pred, ok_p = sign_prediction_samples(su, sv)
     bad = int(np.count_nonzero(ok_k & ok_p
                                & ((k == 0.0) | ((k > 0) != (pred > 0)))))
-    return CheckResult("sign_theorem", bad == 0 and bool(pts), float(bad),
-                       len(pts), f"{bad} exceptions")
+    return CheckResult("sign_theorem", bad == 0 and su.ts.size > 0,
+                       float(bad), su.ts.size, f"{bad} exceptions")
 
 
 def check_milnor(surface: Surface, n: int = 100,
                  seed: int = 0) -> CheckResult:
     """Product of tangent-winding signs equals the sign of K."""
-    rng = np.random.default_rng(seed)
-    pts = sample_regular_points(surface, n, rng)
-    us, vs = _columns(pts)
-    cu, cv = curve_arrays(surface, "u", us), curve_arrays(surface, "v", vs)
-    k, ok = _k_extrinsic(surface, us, vs, cu, cv)
-    s_phi, ok_u = _winding_sign(surface, "u", us, cu[0])
-    s_psi, ok_v = _winding_sign(surface, "v", vs, cv[0])
+    su, sv = _regular_samples(surface, n, np.random.default_rng(seed))
+    k, ok = extrinsic_k_samples(su, sv)
+    s_phi, ok_u = su.winding_sign()
+    s_psi, ok_v = sv.winding_sign()
     ok &= (k != 0.0) & ok_u & ok_v
     bad = int(np.count_nonzero(ok & (s_phi * s_psi
                                      != np.where(k > 0, 1, -1))))
-    return CheckResult("milnor_winding", bad == 0 and bool(pts), float(bad),
-                       len(pts), f"{bad} disagreements")
+    return CheckResult("milnor_winding", bad == 0 and su.ts.size > 0,
+                       float(bad), su.ts.size, f"{bad} disagreements")
 
 
 def check_energy_gauge(surface: Surface, n: int = 50, seed: int = 0,
                        tol: float = 1e-8) -> CheckResult:
     """K E^2 equals the orientation product in the unit-acceleration gauge."""
-    rng = np.random.default_rng(seed)
-    pts = sample_regular_points(surface, n, rng)
-    us, vs = _columns(pts)
-    d = require_data(surface, "the energy gauge")
-    cu, cv = curve_arrays(surface, "u", us), curve_arrays(surface, "v", vs)
-    k, ok_k = _k_closed(surface, us, vs, cu, cv)
-    eps, ok_e = _sign_prediction(cu, cv)
-    t_s_u, ok_u = _gauge_rate(surface, "u", us)
-    t_s_v, ok_v = _gauge_rate(surface, "v", vs)
-    g1, g2 = eval_array(d.g1, us), eval_array(d.g2, vs)
+    su, sv = _regular_samples(surface, n, np.random.default_rng(seed))
+    require_data(surface, "the energy gauge")
+    k, ok_k = closed_k_samples(su, sv)
+    eps, ok_e = sign_prediction_samples(su, sv)
+    t_s_u, ok_u = su.gauge_rate()
+    t_s_v, ok_v = sv.gauge_rate()
     with np.errstate(all="ignore"):
         # curvature.energy_gauge
-        e = (eps * float_pow(1.0 - g1.value * g2.value, 2)
-             / (4.0 * (g1.d1 * t_s_u) * (g2.d1 * t_s_v)))
+        e = (eps * float_pow(1.0 - su.g.value * sv.g.value, 2)
+             / (4.0 * (su.g.d1 * t_s_u) * (sv.g.d1 * t_s_v)))
         error = np.abs(k * e * e - eps)
     worst = _worst(error[ok_k & ok_e & ok_u & ok_v])
-    return CheckResult("energy_gauge", worst < tol and bool(pts), worst,
-                       len(pts))
+    return CheckResult("energy_gauge", worst < tol and su.ts.size > 0, worst,
+                       su.ts.size)
 
 
 def check_data_roundtrip(surface: Surface, n: int = 100,

@@ -86,16 +86,18 @@ def test_single_variable_any_name():
 
 
 def test_round_trip_through_to_string():
+    # float + and * do not associate: u+(u+1) and u*(u*0.1) must keep
+    # their parentheses
     for text in ("1 - u^2", "sin(u)*exp(-u)", "(u+1)/(u-2)", "-(u^3 - u)",
-                 "2*pi*t", "1/2", "u^-3 + sqrt(u)"):
+                 "2*pi*t", "1/2", "u^-3 + sqrt(u)", "u+(u+1)", "u*(u*0.1)"):
         e = parse(text)
         back = parse(to_string(e))
-        for x in (0.3, 1.1, 2.7):
+        for x in (0.3, 1.1, 1.3, 2.7):
             try:
                 want = eval_value(e, x)
             except (DomainError, DivisionByZero):
                 continue
-            assert eval_value(back, x) == pytest.approx(want, rel=1e-15)
+            assert eval_value(back, x) == want
 
 
 def test_negated_flips_sign_everywhere():
@@ -299,6 +301,38 @@ def test_array_jets_equal_scalar_jets_bit_for_bit(text, xs):
     got = eval_array(e, xs)
     for slot, want in zip(got.as_tuple(), np.array(scalar).T):
         assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_LEAVES, _nodes, max_leaves=8),
+       st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1,
+                max_size=6))
+def test_to_string_round_trips_bit_for_bit(text, xs):
+    e = parse(text)
+    back = parse(to_string(e))
+    assert to_string(back) == to_string(e)
+    try:
+        want = eval_array(e, xs)
+    except _FAILURES as err:
+        with pytest.raises(type(err)):
+            eval_array(back, xs)
+        return
+    for got, w in zip(eval_array(back, xs).as_tuple(), want.as_tuple()):
+        assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("text", ["u", "-u", "--u"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_variable_raises_non_finite_result(text, x):
+    raised = set()
+    for call in _entry_points(parse(text), x):
+        with pytest.raises(NonFiniteResult) as exc:
+            call()
+        raised.add((str(exc.value), exc.value.span))
+    assert raised == {(f"non-finite value at offset 0..{len(text)}",
+                       (0, len(text)))}
+    with pytest.raises(NonFiniteResult):
+        eval_array(parse(text), [0.0, x])
 
 
 def test_array_jets_of_a_constant_fill_the_shape():

@@ -16,7 +16,12 @@ from minface.errors import (
     SingularPoint,
     SpecFileError,
 )
+from minface import gallery
+from minface.curvature import AxisSamples, closed_k_samples
+from minface.expr import eval_array
 from minface.paracomplex import null_residual
+from minface.singular import (SingularClassification, all_reports,
+                              classify_singular, trace_singular_set)
 from minface.surface import (
     RealWeierstrassData,
     Rect,
@@ -33,6 +38,7 @@ from minface.surface import (
     surface_from_dict,
     surface_to_dict,
 )
+from minface.verify import make_random_poly_data
 
 from oracles import position as oracle_position
 
@@ -221,6 +227,42 @@ def test_conjugate_sum_is_independent_of_v(enneper):
             for v in (-2.0, 0.0, 1.3)]
     assert np.max(np.abs(sums[0] - sums[1])) < 1e-10
     assert np.max(np.abs(sums[0] - sums[2])) < 1e-10
+
+
+_INVOLUTION = {name: gallery.get(name)
+               for name in ("enneper", "enneper-conj", "ce-quasiumbilic")}
+_INVOLUTION.update({f"poly-{s}": make_random_poly_data(
+    np.random.default_rng(s)) for s in (6, 23)})
+
+
+@pytest.mark.parametrize("name", sorted(_INVOLUTION))
+def test_conjugation_is_an_involution(name):
+    d = _INVOLUTION[name]
+    back = conjugate_data(conjugate_data(d))
+    us, vs = d.domain.u_grid(61), d.domain.v_grid(61)
+    for field, ts in (("g1", us), ("g2", vs), ("w1", us), ("w2", vs)):
+        want = eval_array(getattr(d, field), ts).as_tuple()
+        got = eval_array(getattr(back, field), ts).as_tuple()
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    k, ok = closed_k_samples(AxisSamples(d, "u", us[:, None]),
+                             AxisSamples(d, "v", vs[None, :]))
+    k2, ok2 = closed_k_samples(AxisSamples(back, "u", us[:, None]),
+                               AxisSamples(back, "v", vs[None, :]))
+    assert ok.any() and np.array_equal(ok, ok2)
+    assert k[ok].tobytes() == k2[ok].tobytes()
+
+
+def test_conjugating_twice_maps_swallowtails_back(enneper):
+    conj = conjugate_data(enneper)
+    back = conjugate_data(conj)
+    tips = [r for r in all_reports(trace_singular_set(enneper, 64))
+            if r.tag is SingularClassification.SWALLOWTAIL]
+    assert tips
+    for r in tips:
+        assert (classify_singular(conj, r.u, r.v).tag
+                is SingularClassification.CUSPIDAL_CROSS_CAP)
+        assert (classify_singular(back, r.u, r.v).tag
+                is SingularClassification.SWALLOWTAIL)
 
 
 def test_conjugation_requires_data_mode(kchange):

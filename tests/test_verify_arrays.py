@@ -7,19 +7,24 @@ worst errors, bit for bit.
 """
 
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minface import expr, gallery, surface, verify
-from minface.curvature import (_angle_rate_sign, axis_curve, curve_arrays,
-                               energy_gauge, gaussian_curvature,
-                               milnor_sign_check, reparametrize,
-                               sign_prediction)
+from minface.curvature import (AxisSamples, _angle_rate_sign, axis_curve,
+                               closed_k_samples, energy_gauge,
+                               extrinsic_k_samples, gaussian_curvature,
+                               intrinsic_k_samples, milnor_sign_check,
+                               reparametrize, sign_prediction,
+                               sign_prediction_samples)
 from minface.errors import (DegenerateAtPoint, FlatPoint, SingularNeighborhood,
                             SingularPoint)
 from minface.expr import eval_value
 from minface.lorentz import enorm, mdot
+from minface.mesh import sample_grid
 from minface.surface import as_pair, get_data, mean_curvature_residual
 from minface.verify import (CheckResult, check_curvature_routes,
                             check_energy_gauge, check_milnor,
@@ -262,7 +267,7 @@ def _points(name):
 
 
 def _assert_same(got, ok, pts, per_point, errors):
-    """got/ok from an array helper equal per_point(u, v) or its error."""
+    """got/ok from a record formula equal per_point(u, v) or its error."""
     for (u, v), g, o in zip(pts, got.tolist(), ok.tolist()):
         try:
             want = per_point(u, v)
@@ -278,27 +283,29 @@ def _assert_same(got, ok, pts, per_point, errors):
 def test_array_helpers_equal_per_point_functions(name):
     surf, pts = SURFACES[name], _points(name)
     us, vs = np.array(pts).T
-    cu, cv = curve_arrays(surf, "u", us), curve_arrays(surf, "v", vs)
+    su, sv = AxisSamples(surf, "u", us), AxisSamples(surf, "v", vs)
     sing = (SingularPoint, SingularNeighborhood)
     flat = (SingularPoint, FlatPoint, DegenerateAtPoint)
-    _assert_same(*verify._k_closed(surf, us, vs, cu, cv), pts,
+    _assert_same(*closed_k_samples(su, sv), pts,
                  lambda u, v: gaussian_curvature(surf, u, v), sing)
-    _assert_same(*verify._k_extrinsic(surf, us, vs, cu, cv), pts,
+    _assert_same(*extrinsic_k_samples(su, sv), pts,
                  lambda u, v: gaussian_curvature(surf, u, v, "extrinsic"),
                  sing)
-    _assert_same(*verify._k_intrinsic(surf, us, vs, cu[0], cv[0], 1e-3), pts,
+    _assert_same(*intrinsic_k_samples(su, sv, 1e-3), pts,
                  lambda u, v: gaussian_curvature(surf, u, v, "intrinsic"),
                  sing)
-    _assert_same(*verify._sign_prediction(cu, cv), pts,
+    _assert_same(*sign_prediction_samples(su, sv), pts,
                  lambda u, v: sign_prediction(surf, u, v), flat)
-    for axis, ts, c in (("u", us, cu), ("v", vs, cv)):
+    for axis, s in (("u", su), ("v", sv)):
         at = (lambda u, v: u) if axis == "u" else (lambda u, v: v)
-        _assert_same(*verify._winding_sign(surf, axis, ts, c[0]), pts,
+        _assert_same(*s.winding_sign(), pts,
                      lambda u, v: _angle_rate_sign(axis_curve(surf, axis),
                                                    at(u, v), 1e-5), flat)
-        _assert_same(*verify._gauge_rate(surf, axis, ts), pts,
+        _assert_same(*s.gauge_rate(), pts,
                      lambda u, v: reparametrize(surf, axis, at(u, v)).t_s,
                      flat)
+        _assert_same(s.quartic_root, np.ones(len(pts), bool), pts,
+                     lambda u, v: _acc_quartic_root(surf, axis, at(u, v)), ())
 
 
 # --- regression guard ------------------------------------------------------------
@@ -337,3 +344,61 @@ def test_vectorized_checks_make_no_per_point_scalar_calls(name, monkeypatch):
     # the counter sees per-point calls: the reference loops make them
     reference_sign_theorem(surf, n=10)
     assert counts["calls"] > per_n[1]
+
+
+def _generated(kind):
+    """The seed-0 spec of a benchmark generator kind, loaded."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import specgen
+    finally:
+        sys.path.pop(0)
+    return surface.surface_from_dict(specgen.make_spec(kind, 0, 0, 0).doc)
+
+
+@pytest.mark.parametrize("name", ["enneper", "kchange", "cross", "regular"])
+def test_each_expression_is_evaluated_once_per_parameter_array(name,
+                                                               monkeypatch):
+    surf = SURFACES.get(name) or _generated(name)
+    calls = Counter()
+    original = expr.eval_array
+
+    def counted(e, ts):
+        calls[id(e), np.asarray(ts, dtype=np.float64).tobytes()] += 1
+        return original(e, ts)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "") or "").startswith("minface"):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    runs = [lambda: sample_grid(surf, 16, 16),
+            lambda: sample_regular_points(surf, 100,
+                                          np.random.default_rng(1))]
+    runs += [lambda check=check: check(surf, n=100) for check, _ in CHECKS[1:]
+             if check is not check_energy_gauge or get_data(surf) is not None]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name, kw", [("kchange", {"flat_floor": 2.73}),
+                                      ("poly-29", {"flat_floor": 1.1}),
+                                      ("enneper", {"nonflat": False})])
+def test_sampled_records_equal_records_evaluated_at_the_points(name, kw):
+    # the first two draw many blocks of candidates, the last one
+    rng = _CountingRng(4)
+    su, sv = verify._regular_samples(SURFACES[name], 60, rng, **kw)
+    assert su.ts.size > 0 and (rng.pairs > 120) == (name != "enneper")
+    for s in (su, sv):
+        fresh = AxisSamples(s.surface, s.axis, s.ts)
+        for field in ("vel", "acc", "jerk"):
+            assert (getattr(s, field).tobytes()
+                    == getattr(fresh, field).tobytes())
+        for field in ("g", "w"):
+            got, want = getattr(s, field), getattr(fresh, field)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert ([a.tobytes() for a in got.as_tuple()]
+                        == [a.tobytes() for a in want.as_tuple()])

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Check that the working tree gives the same CLI answers as a parent revision.
+
+Usage (from anywhere inside the repository):
+
+    python3 tools/same_answers.py PARENT_REV
+
+Exports PARENT_REV with ``git archive`` into a temporary directory, then
+runs, in that tree and in this one, on 46 surface descriptions (the four
+gallery surfaces as shipped, plus seeds 0-5 of each of the seven
+``bench/specgen.py`` kinds):
+
+* ``verify --seed 0``: stdout;
+* ``singular --grid 512``: the CSV and stdout;
+* ``sample --nu 32 --nv 32 --fields`` and ``sample --nu 64 --nv 64``: the OBJ
+  and the CSV.
+
+Each tree's commands run in one interpreter, through ``minface.cli.main``,
+with stdout, stderr and the exit code recorded per command. Prints every
+file that differs and exits 1 if any does, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import specgen  # noqa: E402
+
+SEEDS = range(6)
+
+# Runs every command of a job list in one interpreter: argv[1] is the src
+# directory, argv[2] the job list (JSON); outputs go to the working
+# directory, named by each job's stem.
+_WORKER = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from minface import cli
+for stem, argv in json.load(open(sys.argv[2])):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    with open(stem + ".log", "w") as fh:
+        fh.write(f"exit {code}\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+"""
+
+
+def specs():
+    """(name, description) of every surface compared."""
+    out = [(f"{kind}-shipped", specgen.gallery_spec(kind).doc)
+           for kind in specgen.GALLERY]
+    out += [(f"{kind}-{seed}", specgen.make_spec(kind, seed, 0, 0).doc)
+            for kind in specgen.KINDS for seed in SEEDS]
+    return out
+
+
+def jobs(spec_dir: Path):
+    """(output stem, CLI argv) of every command, on specs in spec_dir."""
+    out = []
+    for name, _ in specs():
+        spec = str(spec_dir / f"{name}.json")
+        out += [
+            (f"{name}.verify", ["verify", "--spec", spec, "--seed", "0"]),
+            (f"{name}.singular", ["singular", "--spec", spec, "--grid", "512",
+                                  "--out", f"{name}.singular.csv"]),
+            (f"{name}.sample32", ["sample", "--spec", spec, "--nu", "32",
+                                  "--nv", "32", "--out", f"{name}.32.obj",
+                                  "--fields", f"{name}.32.csv"]),
+            (f"{name}.sample64", ["sample", "--spec", spec, "--nu", "64",
+                                  "--nv", "64", "--out", f"{name}.64.obj",
+                                  "--fields", f"{name}.64.csv"]),
+        ]
+    return out
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        export(argv[0], tmp / "parent")
+        spec_dir = tmp / "specs"
+        spec_dir.mkdir()
+        for name, doc in specs():
+            (spec_dir / f"{name}.json").write_text(json.dumps(doc))
+        (tmp / "jobs.json").write_text(json.dumps(jobs(spec_dir)))
+        runs = {}
+        for label, src in (("parent", tmp / "parent" / "src"),
+                           ("tree", ROOT / "src")):
+            out = tmp / f"out-{label}"
+            out.mkdir()
+            runs[label] = subprocess.Popen(
+                [sys.executable, "-c", _WORKER, str(src),
+                 str(tmp / "jobs.json")], cwd=out)
+        if any([p.wait() != 0 for p in runs.values()]):  # wait for both
+            print("a worker failed", file=sys.stderr)
+            return 2
+        a, b = tmp / "out-parent", tmp / "out-tree"
+        names = sorted({p.name for p in a.iterdir()}
+                       | {p.name for p in b.iterdir()})
+        differ = [n for n in names
+                  if not ((a / n).exists() and (b / n).exists()
+                          and filecmp.cmp(a / n, b / n, shallow=False))]
+        for n in differ:
+            print(f"differs: {n}")
+        print(f"{len(names) - len(differ)} of {len(names)} files identical "
+              f"on {len(specs())} specs")
+        return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
