@@ -105,8 +105,7 @@ class AxisSamples:
     @cached_property
     def orientation(self) -> Tuple[np.ndarray, np.ndarray]:
         """Signs of ``orientation`` at each t, and where it has one."""
-        det = np.linalg.det(np.stack([self.vel, self.acc, self.jerk],
-                                     axis=-1))
+        det = det3(self.vel, self.acc, self.jerk)
         scale = ((1.0 + enorm(self.vel)) * (1.0 + enorm(self.acc))
                  * (1.0 + enorm(self.jerk)))
         return np.where(det > 0, 1, -1), ~(np.abs(det) <= 1e-12 * scale)
@@ -202,6 +201,21 @@ def closed_k_samples(su: AxisSamples, sv: AxisSamples):
         k = 4.0 * su.g.d1 * sv.g.d1 / denom
         return k, (denom != 0.0) & ~(np.abs(1.0 - gg)
                                      < 1e-15 * (1.0 + np.abs(gg)))
+
+
+def area_density_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
+    """The signed area density lambda of Weierstrass data,
+
+        -(w1 w2 / 2)(1 - g1 g2) sqrt((1 - g1 g2)^2 + 2 (g1 + g2)^2).
+
+    It vanishes exactly on the singular set, and its sign tells the two
+    sides of the singular curve apart.
+    """
+    g1, g2 = su.g.value, sv.g.value
+    with np.errstate(all="ignore"):
+        one_m = 1.0 - g1 * g2
+        return (-0.5 * su.w.value * sv.w.value * one_m
+                * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(g1 + g2, 2)))
 
 
 def extrinsic_k_samples(su: AxisSamples, sv: AxisSamples):

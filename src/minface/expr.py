@@ -8,7 +8,8 @@ GRAMMAR (EBNF):
     power   := atom ("^" integer)?
     atom    := number | ident | ident "(" expr ")" | "(" expr ")"
 
-Numbers are decimal literals, scientific notation allowed ("1e-3", "2.5E+1").
+Numbers are decimal literals, scientific notation allowed ("1e-3", "2.5E+1");
+a literal that overflows a float ("1e400") is a syntax error.
 An integer exponent may carry a leading '-'. ``pi`` and ``e`` are named
 constants and fold to numbers at parse time. Any other identifier not followed
 by "(" is the variable; an expression may use at most one distinct variable
@@ -240,8 +241,11 @@ class _Parser:
     def atom(self) -> Node:
         t = self.peek()
         if t.kind == "NUM":
+            value = float(t.text)
+            if not math.isfinite(value):  # the literal overflows a float
+                raise ExpressionSyntaxError(t.pos, "a finite number", t.text)
             self.take()
-            return Num(float(t.text), (t.pos, t.pos + len(t.text)))
+            return Num(value, (t.pos, t.pos + len(t.text)))
         if t.kind == "IDENT":
             self.take()
             nxt = self.peek()

@@ -2,7 +2,8 @@
 
 Points are numpy arrays (x0, x1, x2) with the scalar product
 <a, b> = -a0*b0 + a1*b1 + a2*b2 (signature -, +, +). ``mdot`` and ``enorm``
-also take stacks of vectors (a trailing axis of size 3) and broadcast.
+also take stacks of vectors (a trailing axis of size 3) and broadcast;
+``det3`` takes three stacks of one shape.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ def enorm(a):
                    + a[..., 2] * a[..., 2])
 
 
-def det3(a, b, c) -> float:
-    """Determinant of the matrix with columns a, b, c."""
-    return float(np.linalg.det(np.column_stack([a, b, c])))
+def det3(a, b, c):
+    """Determinant of the matrix with columns a, b, c; a float for three
+    3-vectors, else an array with one determinant per stacked triple."""
+    det = np.linalg.det(np.stack([a, b, c], axis=-1))
+    return float(det) if det.ndim == 0 else det
 
 
 def causal_character(v, tol: float = 0.0) -> str:

@@ -15,9 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import (AxisSamples, closed_k_samples, extrinsic_k_samples,
-                        regular_samples)
-from .jets import float_pow
+from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
+                        extrinsic_k_samples, regular_samples)
 from .lorentz import mdot
 from .surface import Surface, as_pair
 
@@ -89,13 +88,8 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     tags = su.flat.astype(int) + sv.flat
     if su.g is not None:
         with np.errstate(all="ignore"):
-            gg = su.g.value * sv.g.value
-            proxies = np.abs(gg - 1.0)
-            one_m = 1.0 - gg
-            density = (-0.5 * su.w.value * sv.w.value * one_m
-                       * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(
-                           su.g.value + sv.g.value, 2)))
-        densities = tuple(density.ravel().tolist())
+            proxies = np.abs(su.g.value * sv.g.value - 1.0)
+        densities = tuple(area_density_samples(su, sv).ravel().tolist())
         # the closed route of gaussian_curvature, withheld on the band
         k, has_k = closed_k_samples(su, sv)
         has_k &= proxies > MESH_SINGULAR_TOL

@@ -22,13 +22,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .curvature import AxisSamples, area_density_samples, gaussian_curvature
 from .errors import (DegenerateSingular, DivisionByZero, DomainError,
-                     ModeUnsupported, NonFiniteResult, NotCuspidalEdge,
-                     NotSingular, RootNotConverged, SingularPoint)
-from .expr import Expression, eval_array, eval_value
-from .jets import ARRAY_OPS, elementwise, float_pow, shift_derivative
-from .lorentz import det3
-from .surface import (RealWeierstrassData, Surface, jets_at, require_data)
+                     NonFiniteResult, NotCuspidalEdge, NotSingular,
+                     RootNotConverged, SingularPoint)
+from .expr import Expression, eval_array
+from .jets import (ARRAY_OPS, SCALAR_OPS, elementwise, float_pow,
+                   shift_derivative)
+from .lorentz import det3, enorm
+from .surface import RealWeierstrassData, Surface, require_data
 
 DEFAULT_TOL = 1e-9
 
@@ -38,7 +40,11 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SingularData:
-    """Values of h, a, b and their derivatives at one parameter point."""
+    """Values of h, a, b and their derivatives at one parameter point.
+
+    ``_singular_arrays`` fills the fields with arrays instead, one element
+    per point; the properties and ``band`` work elementwise on those.
+    """
 
     u: float
     v: float
@@ -70,14 +76,35 @@ class SingularData:
 
 def singular_data(surface: Surface, u: float, v: float) -> SingularData:
     d = require_data(surface, "singular analysis")
-    g1 = d.g1_jet(u)
-    g2 = d.g2_jet(v)
-    w1 = d.w1_jet(u)
-    w2 = d.w2_jet(v)
+    g1, g2, w1, w2 = d.g1_jet(u), d.g2_jet(v), d.w1_jet(u), d.w2_jet(v)
     if g1.value == 0.0 or g2.value == 0.0:
         raise _vanishing_data(u, v)
-    a_jet = shift_derivative(g1) / (g1 * g1 * w1)
-    b_jet = shift_derivative(g2) / (g2 * g2 * w2)
+    return _singular_body(SCALAR_OPS, u, v, g1, g2, w1, w2)
+
+
+def _singular_arrays(d: RealWeierstrassData, u: np.ndarray,
+                     v: np.ndarray) -> SingularData:
+    """singular_data at every point (u[k], v[k]), as a SingularData of arrays.
+
+    Each element equals singular_data at that point bit for bit, and a
+    vanishing data function raises its NotSingular for the first such point.
+    """
+    g1, g2 = eval_array(d.g1, u), eval_array(d.g2, v)
+    w1, w2 = eval_array(d.w1, u), eval_array(d.w2, v)
+    zero = (g1.value == 0.0) | (g2.value == 0.0)
+    if zero.any():
+        k = int(np.argmax(zero))
+        raise _vanishing_data(u[k].item(), v[k].item())
+    with np.errstate(all="ignore"):
+        return _singular_body(ARRAY_OPS, u, v, g1, g2, w1, w2)
+
+
+def _singular_body(ops, u, v, g1, g2, w1, w2) -> SingularData:
+    """The singular data from the jets of the four data functions at (u, v),
+    with the jet operations ops: floats or arrays alike."""
+    div, mul = ops["/"], ops["*"]
+    a_jet = div(shift_derivative(g1), mul(mul(g1, g1), w1))
+    b_jet = div(shift_derivative(g2), mul(mul(g2, g2), w2))
     return SingularData(
         u=u, v=v, g1=g1.value, g2=g2.value, g1p=g1.d1, g2p=g2.d1,
         w1=w1.value, w2=w2.value,
@@ -85,6 +112,13 @@ def singular_data(surface: Surface, u: float, v: float) -> SingularData:
         h_u=g1.d1 * g2.value, h_v=g1.value * g2.d1,
         a=a_jet.value, b=b_jet.value,
         a_rate=a_jet.d1, b_rate=b_jet.d1)
+
+
+def _stacked(points: List[SingularData]) -> SingularData:
+    """The points as one SingularData of arrays, padded as _padded pads."""
+    table = np.array([[getattr(p, f.name) for f in fields(SingularData)]
+                      for p in points])
+    return SingularData(*table[_padded(np.arange(len(points)))].T)
 
 
 def _vanishing_data(u: float, v: float) -> NotSingular:
@@ -99,16 +133,12 @@ def signed_area_density(surface: Surface, u: float, v: float) -> float:
     """lambda = -(w1 w2 / 2)(1 - g1 g2) sqrt((1-g1 g2)^2 + 2(g1+g2)^2).
 
     Vanishes exactly on the singular set; its sign flags which side of the
-    singular curve the point is on.
+    singular curve the point is on. ``curvature.area_density_samples`` on
+    the one-point records of (u, v).
     """
-    d = require_data(surface, "the signed area density")
-    g1 = eval_value(d.g1, u)
-    g2 = eval_value(d.g2, v)
-    w1 = eval_value(d.w1, u)
-    w2 = eval_value(d.w2, v)
-    one_m = 1.0 - g1 * g2
-    return -0.5 * w1 * w2 * one_m * math.sqrt(one_m ** 2
-                                              + 2.0 * (g1 + g2) ** 2)
+    require_data(surface, "the signed area density")
+    return area_density_samples(AxisSamples(surface, "u", [u]),
+                                AxisSamples(surface, "v", [v]))[0].item()
 
 
 def lambda_gradient_on_singular(sd: SingularData) -> Tuple[float, float]:
@@ -149,28 +179,16 @@ class SingularPointReport:
     lambda_gradient_norm: float
 
 
-def _require_singular(sd: SingularData, tol: float) -> None:
-    scale = 1.0 + abs(sd.g1 * sd.g2)
-    if abs(sd.h) > tol * scale:
-        raise NotSingular(
-            f"({sd.u!r}, {sd.v!r}): g1*g2 - 1 = {sd.h!r} is not zero")
-
-
 def is_front(surface: Surface, u: float, v: float,
              tol: float = DEFAULT_TOL) -> bool:
     """Whether the unit normal extends immersively: a - b != 0."""
-    sd = singular_data(surface, u, v)
-    _require_singular(sd, tol)
-    return abs(sd.a_minus_b) > sd.band(tol)
+    return classify_singular(surface, u, v, tol).is_front
 
 
 def is_nondegenerate(surface: Surface, u: float, v: float,
                      tol: float = DEFAULT_TOL) -> bool:
     """Whether d(g1 g2) != 0: the singular set is a regular curve there."""
-    sd = singular_data(surface, u, v)
-    _require_singular(sd, tol)
-    scale = 1.0 + abs(sd.g1p) + abs(sd.g2p)
-    return max(abs(sd.g1p), abs(sd.g2p)) > tol * scale
+    return classify_singular(surface, u, v, tol).is_nondegenerate
 
 
 def classify_singular(surface: Surface, u: float, v: float,
@@ -188,45 +206,8 @@ def classify_singular(surface: Surface, u: float, v: float,
     a plus sign. Points with g1' = g2' = 0 are DegenerateSingular; surviving
     borderline cases (criteria quantities inside the band) are Unresolved.
     """
-    return _classify(singular_data(surface, u, v), tol)
-
-
-def _classify(sd: SingularData, tol: float) -> SingularPointReport:
-    _require_singular(sd, tol)
-    band = sd.band(tol)
-    front = abs(sd.a_minus_b) > band
-    gp_scale = 1.0 + abs(sd.g1p) + abs(sd.g2p)
-    nondeg = max(abs(sd.g1p), abs(sd.g2p)) > tol * gp_scale
-    third_sw = sd.a_rate * (sd.g2p / sd.g2) - sd.b_rate * (sd.g1p / sd.g1)
-    third_ccr = sd.a_rate * (sd.g2p / sd.g2) + sd.b_rate * (sd.g1p / sd.g1)
-    third_band = tol * (1.0 + abs(sd.a_rate) + abs(sd.b_rate))
-    kappa = None
-    if not nondeg:
-        tag = SingularClassification.DEGENERATE
-    elif front:
-        if abs(sd.a_plus_b) > band:
-            tag = SingularClassification.CUSPIDAL_EDGE
-            kappa = _kappa_s(sd)
-        elif abs(third_sw) > third_band:
-            tag = SingularClassification.SWALLOWTAIL
-        else:
-            tag = SingularClassification.UNRESOLVED
-    else:
-        if abs(sd.a_plus_b) > band and abs(third_ccr) > third_band:
-            tag = SingularClassification.CUSPIDAL_CROSS_CAP
-        else:
-            tag = SingularClassification.UNRESOLVED
-    grad = lambda_gradient_on_singular(sd)
-    return SingularPointReport(
-        u=sd.u, v=sd.v, a=sd.a, b=sd.b, a_minus_b=sd.a_minus_b,
-        a_plus_b=sd.a_plus_b, third_sw=third_sw, third_ccr=third_ccr,
-        is_front=front, is_nondegenerate=nondeg, tag=tag, kappa_s=kappa,
-        lambda_gradient_norm=math.hypot(*grad))
-
-
-def _kappa_s(sd: SingularData) -> float:
-    num = 2.0 * sd.g1p * sd.g2p / (sd.w1 * sd.w2 * (sd.g1 + sd.g2) ** 2)
-    return num / abs(sd.a_plus_b)
+    return _classify_arrays(_stacked([singular_data(surface, u, v)]), tol,
+                            1)[0]
 
 
 def singular_curvature(surface: Surface, u: float, v: float,
@@ -267,12 +248,15 @@ class SingularDirections:
 def directions_at(surface: Surface, u: float, v: float,
                   tol: float = DEFAULT_TOL) -> SingularDirections:
     sd = singular_data(surface, u, v)
-    _require_singular(sd, tol)
-    gp_scale = 1.0 + abs(sd.g1p) + abs(sd.g2p)
-    if max(abs(sd.g1p), abs(sd.g2p)) <= tol * gp_scale:
+    if not _classify_arrays(_stacked([sd]), tol, 1)[0].is_nondegenerate:
         raise DegenerateSingular(
             f"({u!r}, {v!r}): both data derivatives vanish; the singular "
             "set is not a regular curve here")
+    return _directions(sd)
+
+
+def _directions(sd: SingularData) -> SingularDirections:
+    """The directions at every point of sd, floats or arrays alike."""
     eta = (1.0 / (sd.g1 * sd.w1), 1.0 / (sd.g2 * sd.w2))
     mu = (sd.g2p / sd.g2, sd.g1p / sd.g1)
     gamma_prime = (sd.g2p / sd.g2, -sd.g1p / sd.g1)
@@ -290,26 +274,41 @@ def normal_twist_identity(surface: Surface, u: float, v: float,
     where eta is long); the identity is insensitive to a global sign flip
     of n (n appears twice). Returns (lhs, rhs).
     """
-    sd = singular_data(surface, u, v)
-    dirs = directions_at(surface, u, v)
-    sj = jets_at(surface, u, v, with_position=False)
-    df_gamma = dirs.gamma_prime[0] * sj.f_u + dirs.gamma_prime[1] * sj.f_v
+    directions_at(surface, u, v)  # raises off the nondegenerate set
+    lhs, rhs = _twist_sides(surface, _stacked([singular_data(surface, u, v)]),
+                            fd_step)
+    return lhs[0].item(), rhs[0].item()
 
-    def n_at(uu: float, vv: float) -> np.ndarray:
-        return jets_at(surface, uu, vv, with_position=False).n
 
+def _twist_sides(surface: Surface, sd: SingularData, fd_step: float = 1e-4):
+    """normal_twist_identity at every point of sd, a SingularData of arrays.
+
+    The records of the points give f_u, f_v and n; the records of the four
+    stencil points give n there.
+    """
+    dirs = _directions(sd)
+    su, sv = AxisSamples(surface, "u", sd.u), AxisSamples(surface, "v", sd.v)
+    df_gamma = (dirs.gamma_prime[0][:, None] * (0.5 * su.vel)
+                + dirs.gamma_prime[1][:, None] * (0.5 * sv.vel))
     eu, ev = dirs.eta
-    size = math.hypot(eu, ev)
+    size = _hypot(eu, ev)
     eu, ev = eu / size, ev / size
     h = fd_step
-    p1 = n_at(u + h * eu, v + h * ev)
-    m1 = n_at(u - h * eu, v - h * ev)
-    p2 = n_at(u + 2 * h * eu, v + 2 * h * ev)
-    m2 = n_at(u - 2 * h * eu, v - 2 * h * ev)
-    dn = size * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
-    lhs = det3(df_gamma, sj.n, dn)
+    p1, m1, p2, m2 = (
+        _unit_normal(AxisSamples(surface, "u", sd.u + s * eu),
+                     AxisSamples(surface, "v", sd.v + s * ev))
+        for s in (h, -h, 2 * h, -2 * h))
+    dn = size[:, None] * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+    lhs = det3(df_gamma, _unit_normal(su, sv), dn)
     alpha = -0.5 * sd.w1 * sd.w2 * sd.a_plus_b
     return lhs, alpha * sd.a_minus_b
+
+
+def _unit_normal(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
+    """The Euclidean unit normal n of jets_at in Weierstrass mode."""
+    g1, g2 = su.g.value, sv.g.value
+    w = np.stack([-g1 - g2, g1 - g2, -1.0 - g1 * g2], axis=-1)
+    return w / enorm(w)[..., None]
 
 
 # --- tracing -----------------------------------------------------------------
@@ -533,50 +532,23 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
         if len(chain) >= 2:
             curves.append((chain, closed))
 
-    out = []
+    out, places, specials = [], [], []
     for chain, closed in curves:
         data = _singular_arrays(d, _padded(edge_u[chain]),
                                 _padded(edge_v[chain]))
         reports = _classify_arrays(data, tol, len(chain))
-        residual = float(np.max(np.abs(data.h)))
-        # the few Newton-refined vertices take the scalar path
-        for k, sd in _special_points(surface, data):
-            reports.insert(k, _classify(sd, tol))
-            residual = max(residual, abs(sd.h))
-        out.append(SingularCurve(reports, residual, closed))
+        found = _special_points(surface, data)
+        places += [(reports, k) for k, _ in found]
+        specials += [sd for _, sd in found]
+        out.append(SingularCurve(reports, max(
+            [float(np.max(np.abs(data.h)))] + [abs(sd.h) for _, sd in found]),
+            closed))
+    # the few Newton-refined vertices of all curves, classified together
+    if specials:
+        for (reports, k), report in zip(places, _classify_arrays(
+                _stacked(specials), tol, len(specials))):
+            reports.insert(k, report)
     return out
-
-
-def _point(sd: SingularData, k: int) -> SingularData:
-    """Element k of a SingularData of arrays."""
-    return SingularData(*(getattr(sd, f.name)[k].item()
-                          for f in fields(SingularData)))
-
-
-def _singular_arrays(d: RealWeierstrassData, u: np.ndarray,
-                     v: np.ndarray) -> SingularData:
-    """singular_data at every point (u[k], v[k]), as a SingularData of arrays.
-
-    Each element equals singular_data at that point bit for bit, and a
-    vanishing data function raises its NotSingular for the first such point.
-    """
-    g1, g2 = eval_array(d.g1, u), eval_array(d.g2, v)
-    w1, w2 = eval_array(d.w1, u), eval_array(d.w2, v)
-    zero = (g1.value == 0.0) | (g2.value == 0.0)
-    if zero.any():
-        k = int(np.argmax(zero))
-        raise _vanishing_data(u[k].item(), v[k].item())
-    div, mul = ARRAY_OPS["/"], ARRAY_OPS["*"]
-    with np.errstate(all="ignore"):
-        a_jet = div(shift_derivative(g1), mul(mul(g1, g1), w1))
-        b_jet = div(shift_derivative(g2), mul(mul(g2, g2), w2))
-        return SingularData(
-            u=u, v=v, g1=g1.value, g2=g2.value, g1p=g1.d1, g2p=g2.d1,
-            w1=w1.value, w2=w2.value,
-            h=g1.value * g2.value - 1.0,
-            h_u=g1.d1 * g2.value, h_v=g1.value * g2.d1,
-            a=a_jet.value, b=b_jet.value,
-            a_rate=a_jet.d1, b_rate=b_jet.d1)
 
 
 _TAG_CODES = (SingularClassification.DEGENERATE,
@@ -590,14 +562,17 @@ _hypot = elementwise(math.hypot, 2)
 @np.errstate(all="ignore")
 def _classify_arrays(sd: SingularData, tol: float,
                      n: int) -> List[SingularPointReport]:
-    """_classify at the first n elements of a SingularData of arrays.
+    """The reports of classify_singular at the first n points of sd, a
+    SingularData of arrays: the decision tree as masks.
 
-    The same tests and bands as _classify, as masks; each report equals
-    _classify's at that point.
+    Raises NotSingular for the first point with |g1 g2 - 1| > tol (1 +
+    |g1 g2|).
     """
     off = np.abs(sd.h) > tol * (1.0 + np.abs(sd.g1 * sd.g2))
     if off.any():
-        _require_singular(_point(sd, int(np.argmax(off))), tol)
+        k = int(np.argmax(off))
+        raise NotSingular(f"({sd.u[k].item()!r}, {sd.v[k].item()!r}): "
+                          f"g1*g2 - 1 = {sd.h[k].item()!r} is not zero")
     band = sd.band(tol)
     front = np.abs(sd.a_minus_b) > band
     gp1, gp2 = np.abs(sd.g1p), np.abs(sd.g2p)
@@ -606,11 +581,12 @@ def _classify_arrays(sd: SingularData, tol: float,
     third_ccr = sd.a_rate * (sd.g2p / sd.g2) + sd.b_rate * (sd.g1p / sd.g1)
     third_band = tol * (1.0 + np.abs(sd.a_rate) + np.abs(sd.b_rate))
     edge_side = np.abs(sd.a_plus_b) > band
-    codes = np.select(
-        [~nondeg, front & edge_side,
-         front & (np.abs(third_sw) > third_band),
-         ~front & edge_side & (np.abs(third_ccr) > third_band)],
-        [0, 1, 2, 3], 4)
+    codes = np.where(
+        front, np.where(edge_side, 1, np.where(np.abs(third_sw) > third_band,
+                                               2, 4)),
+        np.where(edge_side & (np.abs(third_ccr) > third_band), 3, 4))
+    codes[~nondeg] = 0
+    # kappa_s = [2 g1' g2' / (w1 w2 (g1 + g2)^2)] / |a + b| on cuspidal edges
     edge = np.flatnonzero(codes == 1)
     edge = edge[:np.searchsorted(edge, n)]
     num = 2.0 * sd.g1p[edge] * sd.g2p[edge] / (
@@ -642,15 +618,16 @@ def _special_points(surface: Surface,
                        & ((c[:-1] > 0) != (c[1:] > 0)))
     found = []
     for k in np.flatnonzero(changes[0] | changes[1]).tolist():
-        s0, s1 = _point(data, k), _point(data, k + 1)
+        u0, u1 = data.u[k:k + 2].tolist()
+        v0, v1 = data.v[k:k + 2].tolist()
         for sign, change in zip((1.0, -1.0), changes):
             if not change[k]:
                 continue
-            sd = _newton_special(surface, 0.5 * (s0.u + s1.u),
-                                 0.5 * (s0.v + s1.v), sign)
+            sd = _newton_special(surface, 0.5 * (u0 + u1), 0.5 * (v0 + v1),
+                                 sign)
             if sd is not None:
-                near_prev = (abs(sd.u - s0.u) + abs(sd.v - s0.v)) < 1e-12
-                near_next = (abs(sd.u - s1.u) + abs(sd.v - s1.v)) < 1e-12
+                near_prev = (abs(sd.u - u0) + abs(sd.v - v0)) < 1e-12
+                near_next = (abs(sd.u - u1) + abs(sd.v - v1)) < 1e-12
                 if not near_prev and not near_next:
                     found.append((k + 1 + len(found), sd))
     return found
@@ -747,10 +724,8 @@ def verify_main_theorem(surface: Surface, u: float, v: float,
     with a + b = 0 (swallowtail side) must show K < 0 blowing up as r drops;
     nondegenerate non-front points must show K > 0.
     """
-    from .curvature import gaussian_curvature
-
-    report = classify_singular(surface, u, v, tol)
     sd = singular_data(surface, u, v)
+    report = _classify_arrays(_stacked([sd]), tol, 1)[0]
     grad = np.array([sd.h_u, sd.h_v])
     norm = float(np.hypot(*grad))
     if norm == 0.0:

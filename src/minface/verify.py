@@ -13,22 +13,21 @@ two-variable formulas of ``curvature``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .curvature import (AxisSamples, closed_k_samples, extrinsic_k_samples,
-                        gathered, intrinsic_k_samples, normal_samples,
-                        sign_prediction_samples)
+from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
+                        extrinsic_k_samples, gathered, intrinsic_k_samples,
+                        normal_samples, sign_prediction_samples)
 from .errors import MinfaceError
 from .expr import eval_array, eval_value
 from .jets import float_pow
 from .lorentz import enorm, mdot
-from .singular import (SingularClassification, all_reports, classify_singular,
-                       directions_at, normal_twist_identity,
-                       signed_area_density, singular_data, trace_singular_set,
+from .singular import (DEFAULT_TOL, SingularClassification, _classify_arrays,
+                       _directions, _hypot, _padded, _singular_arrays,
+                       _twist_sides, all_reports, trace_singular_set,
                        verify_main_theorem)
 from .surface import (RealWeierstrassData, Rect, Surface, as_pair,
                       conjugate_data, data_from_curves, get_data,
@@ -243,6 +242,16 @@ def check_data_roundtrip(surface: Surface, n: int = 100,
     return CheckResult("data_roundtrip", worst < tol, worst, n)
 
 
+def _traced(surface: Surface, grid_n: int, keep):
+    """The traced reports keep accepts, and the singular data at their
+    points (``singular._singular_arrays``, padded)."""
+    reports = [r for r in all_reports(trace_singular_set(surface, grid_n))
+               if keep(r)]
+    us, vs = (_padded(np.array(x, dtype=np.float64))
+              for x in ([r.u for r in reports], [r.v for r in reports]))
+    return reports, _singular_arrays(get_data(surface), us, vs)
+
+
 def check_identities(surface: Surface, grid_n: int = 128,
                      tol_det: float = 1e-10,
                      tol_twist: float = 1e-8) -> CheckResult:
@@ -252,33 +261,27 @@ def check_identities(surface: Surface, grid_n: int = 128,
     -(w1 w2/2)(a+b)(a-b); also checks that the signed area density changes
     sign across the curve at nondegenerate points.
     """
-    curves = trace_singular_set(surface, grid_n)
-    worst_det = worst_twist = 0.0
-    flips_ok = True
-    count = 0
-    for rep in all_reports(curves):
-        if not rep.is_nondegenerate:
-            continue
-        count += 1
-        dirs = directions_at(surface, rep.u, rep.v)
-        worst_det = max(worst_det, abs(dirs.det_gamma_eta - rep.a_plus_b))
-        lhs, rhs = normal_twist_identity(surface, rep.u, rep.v)
-        worst_twist = max(worst_twist, abs(lhs - rhs))
-        sd = singular_data(surface, rep.u, rep.v)
-        g = math.hypot(sd.h_u, sd.h_v)
-        if g > 0:
-            off = 1e-4
-            lp = signed_area_density(surface, rep.u + off * sd.h_u / g,
-                                     rep.v + off * sd.h_v / g)
-            lm = signed_area_density(surface, rep.u - off * sd.h_u / g,
-                                     rep.v - off * sd.h_v / g)
-            flips_ok = flips_ok and (lp * lm < 0)
-    passed = worst_det < tol_det and worst_twist < tol_twist and flips_ok
-    detail = (f"det {worst_det:.2e}, twist {worst_twist:.2e}, "
-              f"density flips {'ok' if flips_ok else 'BROKEN'}")
+    reports, sd = _traced(surface, grid_n, lambda r: r.is_nondegenerate)
+    count = len(reports)
     if count == 0:
         return CheckResult("singular_identities", True, None, 0,
                            "no singular points in domain")
+    worst_det = _worst(np.abs(_directions(sd).det_gamma_eta
+                              - sd.a_plus_b)[:count])
+    lhs, rhs = _twist_sides(surface, sd)
+    worst_twist = _worst(np.abs(lhs - rhs)[:count])
+    # lambda at 1e-4 on either side along grad h, where grad h != 0
+    g = _hypot(sd.h_u, sd.h_v)
+    moved = g > 0
+    g = np.where(moved, g, 1.0)
+    lp, lm = (area_density_samples(
+        AxisSamples(surface, "u", sd.u + side * 1e-4 * sd.h_u / g),
+        AxisSamples(surface, "v", sd.v + side * 1e-4 * sd.h_v / g))
+        for side in (1.0, -1.0))
+    flips_ok = bool(np.all(((lp * lm) < 0) | ~moved))
+    passed = worst_det < tol_det and worst_twist < tol_twist and flips_ok
+    detail = (f"det {worst_det:.2e}, twist {worst_twist:.2e}, "
+              f"density flips {'ok' if flips_ok else 'BROKEN'}")
     return CheckResult("singular_identities", passed,
                        max(worst_det, worst_twist), count, detail)
 
@@ -296,20 +299,15 @@ _DUAL_TAG = {
 def check_duality(surface: Surface, grid_n: int = 128) -> CheckResult:
     """Conjugation swaps swallowtails and cross caps, keeps cuspidal edges."""
     conj = conjugate_data(surface)
-    curves = trace_singular_set(surface, grid_n)
-    bad = 0
-    count = 0
-    for rep in all_reports(curves):
-        expected = _DUAL_TAG.get(rep.tag)
-        if expected is None:
-            continue
-        count += 1
-        got = classify_singular(conj, rep.u, rep.v).tag
-        if got is not expected:
-            bad += 1
+    reports, sd = _traced(surface, grid_n, lambda r: r.tag in _DUAL_TAG)
+    count = len(reports)
     if count == 0:
         return CheckResult("duality", True, None, 0,
                            "no singular points in domain")
+    dual = _classify_arrays(_singular_arrays(conj, sd.u, sd.v), DEFAULT_TOL,
+                            count)
+    bad = sum(got.tag is not _DUAL_TAG[rep.tag]
+              for rep, got in zip(reports, dual))
     return CheckResult("duality", bad == 0, float(bad), count,
                        f"{bad} tag mismatches")
 
@@ -322,21 +320,17 @@ def check_kappa_zero_locus(surface: Surface, grid_n: int = 128,
     min(|g1'|, |g2'|) < hi and vice versa; the band between lo and hi is
     inconclusive and skipped.
     """
-    curves = trace_singular_set(surface, grid_n)
-    bad = 0
-    count = 0
-    for rep in all_reports(curves):
-        if rep.tag is not SingularClassification.CUSPIDAL_EDGE:
-            continue
-        count += 1
-        sd = singular_data(surface, rep.u, rep.v)
-        min_g = min(abs(sd.g1p), abs(sd.g2p))
-        k = abs(rep.kappa_s)
-        if (k < lo and min_g > hi) or (min_g < lo and k > hi):
-            bad += 1
+    reports, sd = _traced(
+        surface, grid_n,
+        lambda r: r.tag is SingularClassification.CUSPIDAL_EDGE)
+    count = len(reports)
     if count == 0:
         return CheckResult("kappa_zero_locus", True, None, 0,
                            "no cuspidal edges in domain")
+    min_g = np.minimum(np.abs(sd.g1p), np.abs(sd.g2p))
+    k = np.abs(_padded(np.array([r.kappa_s for r in reports])))
+    bad = int(np.count_nonzero((((k < lo) & (min_g > hi))
+                                | ((min_g < lo) & (k > hi)))[:count]))
     return CheckResult("kappa_zero_locus", bad == 0, float(bad), count,
                        f"{bad} mismatches")
 

@@ -254,6 +254,20 @@ def test_non_finite_domain_exits_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_overflowing_literal_in_spec_exits_two(command, tmp_path, capsys):
+    spec = dict(gallery.spec_dict("enneper"))
+    spec["w1"] = "1e400*0+1"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--spec", str(path)]
+    assert main(argv + (["--u", "1", "--v", "-1"]
+                        if command == "classify" else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "offset 0: expected a finite number, found '1e400'" in err[0]
+
+
 def test_bad_spec_files_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["curvature", "--spec", str(missing),

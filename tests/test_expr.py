@@ -52,6 +52,17 @@ def test_syntax_error_carries_offset():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize("text, offset", [("1e400*0+1", 0),
+                                           ("u+2.5E+308", 2),
+                                           ("sin(-1e999)", 5)])
+def test_overflowing_literal_is_syntax_error(text, offset):
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert exc.value.expected == "a finite number"
+    assert parse("1e308*0+1e-400").root is not None  # 1e-400 rounds to 0
+
+
 def test_unbalanced_parenthesis():
     with pytest.raises(ExpressionSyntaxError):
         parse("sin(u")

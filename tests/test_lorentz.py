@@ -50,6 +50,19 @@ def test_det3_orientation():
     assert det3(vec3(0, 1, 0), vec3(1, 0, 0), vec3(0, 0, 1)) == -1.0
 
 
+def test_stacked_det3_equals_row_by_row_det3():
+    rng = np.random.default_rng(8)
+    a, b, c = rng.normal(size=(3, 500, 3)) * np.exp(rng.normal(size=(3, 500,
+                                                                     1)))
+    stacked = det3(a, b, c)
+    assert stacked.shape == (500,)
+    rows = [det3(*abc) for abc in zip(a, b, c)]
+    assert all(type(x) is float for x in rows)
+    assert stacked.tobytes() == np.array(rows).tobytes()
+    grid = det3(*(x.reshape(20, 25, 3) for x in (a, b, c)))
+    assert grid.tobytes() == stacked.tobytes()
+
+
 def test_causal_character():
     assert causal_character(vec3(1, 0, 0)) == "timelike"
     assert causal_character(vec3(0, 1, 0)) == "spacelike"

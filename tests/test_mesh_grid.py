@@ -1,8 +1,9 @@
 """The separable grid sampler against the per-point functions.
 
 The reference below walks every vertex with the public per-point routes
-(gaussian_curvature, flat_classify, signed_area_density) and writes the
-exports one row at a time with the csv module, as the mesh module once did.
+(gaussian_curvature, flat_classify) and the scalar area density formula
+(``reference_signed_area_density``) and writes the exports one row at a time
+with the csv module, as the mesh module once did.
 """
 
 import csv
@@ -17,10 +18,10 @@ from minface.errors import SingularNeighborhood, SingularPoint
 from minface.lorentz import mdot
 from minface.mesh import (MESH_SINGULAR_TOL, export_fields_csv, export_obj,
                           sample_grid)
-from minface.singular import signed_area_density
 from minface.surface import as_pair, get_data
 from minface.verify import make_random_poly_data
 
+from singular_reference import reference_signed_area_density
 from test_mesh import masking_example
 
 SIZES = ((64, 64), (24, 20), (2, 2))
@@ -55,7 +56,7 @@ def reference_mesh(d, nu, nv):
                 proxy = abs(data.g1_jet(u).value * data.g2_jet(v).value - 1.0)
                 k = (None if proxy <= MESH_SINGULAR_TOL
                      else gaussian_curvature(d, u, v))
-                densities.append(signed_area_density(d, u, v))
+                densities.append(reference_signed_area_density(d, u, v))
             else:
                 proxy = abs(0.25 * mdot(pair.phi_prime_value(u),
                                         pair.psi_prime_value(v)))

@@ -13,6 +13,7 @@ from minface import gallery
 
 from minface.errors import (
     DegenerateSingular,
+    MinfaceError,
     ModeUnsupported,
     NotCuspidalEdge,
     NotSingular,
@@ -22,9 +23,14 @@ from minface.expr import eval_jet, eval_value, parse
 from minface.jets import lift_variable
 from minface.singular import (
     MainTheoremReport,
+    _directions,
     _edge_roots,
     _newton_special,
+    _stacked,
+    _twist_sides,
     SingularClassification,
+    SingularDirections,
+    SingularPointReport,
     all_reports,
     classify_singular,
     directions_at,
@@ -41,6 +47,11 @@ from minface.singular import (
 )
 from minface.surface import RealWeierstrassData, Rect, conjugate_data
 from minface.verify import make_accumulation_data, make_random_poly_data
+
+from singular_reference import (reference_classify, reference_directions,
+                                reference_is_front, reference_is_nondegenerate,
+                                reference_signed_area_density,
+                                reference_twist, same_bits)
 
 CE = SingularClassification.CUSPIDAL_EDGE
 SW = SingularClassification.SWALLOWTAIL
@@ -365,15 +376,108 @@ def test_grid_512_reports_equal_pointwise_classification(name):
 
 
 def _assert_reports_equal_pointwise(surface, grid_n):
-    """Each traced report is classify_singular's at its point; the tags."""
+    """Each traced report is the scalar decision tree's at its point."""
     curves = trace_singular_set(surface, grid_n)
     assert curves
     for c in curves:
         for r in c.points:
-            assert r == classify_singular(surface, r.u, r.v)
+            assert r == reference_classify(singular_data(surface, r.u, r.v))
         assert c.residual_max == max(abs(singular_data(surface, r.u, r.v).h)
                                      for r in c.points)
     return {r.tag.value for r in all_reports(curves)}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the MinfaceError it raises."""
+    try:
+        return fn(*args)
+    except MinfaceError as err:
+        return type(err), str(err)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        return got == want
+    if isinstance(want, SingularDirections):
+        return isinstance(got, SingularDirections) and same_bits(
+            (got.eta, got.mu, got.gamma_prime, got.det_gamma_eta),
+            (want.eta, want.mu, want.gamma_prime, want.det_gamma_eta))
+    if isinstance(want, bool):
+        return type(got) is bool and got == want
+    if isinstance(want, SingularPointReport):
+        return got == want
+    return same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", [
+    "enneper", "enneper-conj", "ce-quasiumbilic", "cross-seed0",
+    "poly-seed4", "accumulation-seed1", "unresolved", "degenerate-line"])
+def test_per_point_functions_equal_scalar_references(name):
+    """Length-1 calls of the array formulas equal the scalar bodies.
+
+    At every fifth traced point, its Newton-refined points and two points
+    off the singular set: values bit for bit, errors by type and message.
+    """
+    surface = _trace_surface(name)
+    reports = all_reports(trace_singular_set(surface, 64))
+    picked = reports[::5] + [r for r in reports if r.tag in (SW, CCR)]
+    points = [(r.u, r.v) for r in picked]
+    points += [(r.u + 0.1, r.v) for r in picked[:2]]
+    pairs = [
+        (lambda u, v: classify_singular(surface, u, v),
+         lambda u, v: reference_classify(singular_data(surface, u, v))),
+        (lambda u, v: is_front(surface, u, v),
+         lambda u, v: reference_is_front(surface, u, v)),
+        (lambda u, v: is_nondegenerate(surface, u, v),
+         lambda u, v: reference_is_nondegenerate(surface, u, v)),
+        (lambda u, v: directions_at(surface, u, v),
+         lambda u, v: reference_directions(surface, u, v)),
+        (lambda u, v: normal_twist_identity(surface, u, v),
+         lambda u, v: reference_twist(surface, u, v)),
+        (lambda u, v: signed_area_density(surface, u, v),
+         lambda u, v: reference_signed_area_density(surface, u, v)),
+    ]
+    for u, v in points:
+        for got, want in pairs:
+            g, w = _outcome(got, u, v), _outcome(want, u, v)
+            assert _same_outcome(g, w), (u, v, g, w)
+
+
+@pytest.mark.parametrize("name", ["enneper", "ce-quasiumbilic",
+                                  "cross-seed0", "poly-seed4"])
+def test_array_formulas_equal_references_at_every_traced_point(name):
+    """Directions and both twist sides on arrays, point by point."""
+    surface = _trace_surface(name)
+    reports = [r for r in all_reports(trace_singular_set(surface, 128))
+               if r.is_nondegenerate]
+    sd = _stacked([singular_data(surface, r.u, r.v) for r in reports])
+    dirs = _directions(sd)
+    lhs, rhs = _twist_sides(surface, sd)
+    for k, r in enumerate(reports):
+        want = reference_directions(surface, r.u, r.v)
+        assert same_bits((dirs.eta[0][k], dirs.eta[1][k],
+                          dirs.gamma_prime[0][k], dirs.gamma_prime[1][k],
+                          dirs.det_gamma_eta[k]),
+                         want.eta + want.gamma_prime + (want.det_gamma_eta,))
+        assert same_bits((lhs[k], rhs[k]), reference_twist(surface, r.u, r.v))
+
+
+@pytest.mark.parametrize("name, grid_n", [("enneper", 128),
+                                          ("enneper-conj", 512),
+                                          ("cross-seed0", 512)])
+def test_newton_refined_points_sit_between_their_nodes(name, grid_n):
+    """a + b (or a - b) changes sign between the neighbours of each
+    Newton-refined point, where the trace found that change."""
+    curves = trace_singular_set(_trace_surface(name), grid_n)
+    refined = 0
+    for c in curves:
+        for prev, r, nxt in zip(c.points, c.points[1:], c.points[2:]):
+            if r.tag in (SW, CCR):
+                refined += 1
+                side = ("a_plus_b" if abs(r.a_plus_b) < abs(r.a_minus_b)
+                        else "a_minus_b")
+                assert (getattr(prev, side) > 0) != (getattr(nxt, side) > 0)
+    assert refined >= 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minface import expr, gallery, surface, verify
+from minface import expr, gallery, singular, surface, verify
 from minface.curvature import (AxisSamples, _angle_rate_sign, axis_curve,
                                closed_k_samples, energy_gauge,
                                extrinsic_k_samples, gaussian_curvature,
@@ -27,10 +27,15 @@ from minface.lorentz import enorm, mdot
 from minface.mesh import sample_grid
 from minface.surface import as_pair, get_data, mean_curvature_residual
 from minface.verify import (CheckResult, check_curvature_routes,
-                            check_energy_gauge, check_milnor,
-                            check_minimality, check_null_generators,
-                            check_sign_theorem, make_accumulation_data,
-                            make_random_poly_data, sample_regular_points)
+                            check_duality, check_energy_gauge,
+                            check_identities, check_kappa_zero_locus,
+                            check_milnor, check_minimality,
+                            check_null_generators, check_sign_theorem,
+                            make_accumulation_data, make_random_poly_data,
+                            sample_regular_points)
+
+from singular_reference import (reference_duality, reference_identities,
+                                reference_kappa_zero_locus)
 
 SURFACES = {name: gallery.get(name) for name in gallery.names()}
 SURFACES.update({f"poly-{s}": make_random_poly_data(np.random.default_rng(s))
@@ -201,6 +206,38 @@ def test_vectorized_checks_equal_per_point_loops(name):
         assert type(got.max_error) is float
 
 
+TRACE_CHECKS = [
+    (check_identities, reference_identities),
+    (check_duality, reference_duality),
+    (check_kappa_zero_locus, reference_kappa_zero_locus),
+]
+
+
+# the Weierstrass gallery surfaces, and generated ones whose singular set
+# meets the domain
+TRACED = {name: SURFACES[name] for name in ("enneper", "enneper-conj",
+                                            "ce-quasiumbilic", "acc-5",
+                                            "acc-8", "poly-29", "poly-41")}
+TRACED.update({f"poly-{s}": make_random_poly_data(np.random.default_rng(s))
+               for s in (4, 7)})
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_trace_checks_equal_per_point_loops(name):
+    surf = TRACED[name]
+    for check, reference in TRACE_CHECKS:
+        got, want = check(surf), reference(surf)
+        assert got == want, (check.__name__, got, want)
+        assert got.count > 0 and type(got.max_error) is float
+
+
+def test_trace_checks_without_singular_points_equal_per_point_loops():
+    surf = SURFACES["poly-3"]
+    for check, reference in TRACE_CHECKS:
+        got = check(surf)
+        assert got == reference(surf) and got.count == 0
+
+
 def _draw(sampler, surf, n, seed, **kw):
     return sampler(surf, n, np.random.default_rng(seed), **kw)
 
@@ -344,6 +381,34 @@ def test_vectorized_checks_make_no_per_point_scalar_calls(name, monkeypatch):
     # the counter sees per-point calls: the reference loops make them
     reference_sign_theorem(surf, n=10)
     assert counts["calls"] > per_n[1]
+
+
+@pytest.mark.parametrize("name", ["enneper", "enneper-conj", "poly-29"])
+def test_trace_checks_make_no_per_point_calls(name, monkeypatch):
+    """Past their trace, the three checks evaluate no single point."""
+    surf = TRACED[name]
+    curves = verify.trace_singular_set(surf, 128)
+    monkeypatch.setattr(verify, "trace_singular_set",
+                        lambda surface, grid_n: curves)
+    calls = Counter()
+    for fn in (singular.singular_data, singular.classify_singular,
+               singular.signed_area_density, surface.jets_at, expr.eval_jet,
+               expr.eval_value):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "") or "").startswith("minface"):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    for check, _ in TRACE_CHECKS:
+        assert check(surf).count > 0
+    assert calls == Counter()
+    # the counter sees per-point calls
+    point = curves[0].points[0]
+    singular.directions_at(surf, point.u, point.v)
+    assert calls["singular_data"] == 1
 
 
 def _generated(kind):

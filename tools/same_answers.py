@@ -13,11 +13,15 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
 * ``verify --seed 0``: stdout;
 * ``singular --grid 512``: the CSV and stdout;
 * ``sample --nu 32 --nv 32 --fields`` and ``sample --nu 64 --nv 64``: the OBJ
-  and the CSV.
+  and the CSV;
+* then ``classify --u=U --v=V``: stdout, at the first, middle and last
+  points of PARENT_REV's ``singular`` CSV of each surface that has one
+  (``%.17g`` round-trips, so both trees classify the same points).
 
-Each tree's commands run in one interpreter, through ``minface.cli.main``,
-with stdout, stderr and the exit code recorded per command. Prints every
-file that differs and exits 1 if any does, 0 if none does.
+Each tree's commands run in one interpreter per round, through
+``minface.cli.main``, with stdout, stderr and the exit code recorded per
+command. Prints every file that differs and exits 1 if any does, 0 if none
+does.
 """
 
 from __future__ import annotations
@@ -81,6 +85,36 @@ def jobs(spec_dir: Path):
     return out
 
 
+def classify_jobs(spec_dir: Path, csv_dir: Path):
+    """(output stem, CLI argv) of the classify runs: the first, middle and
+    last points of each singular CSV in csv_dir."""
+    out = []
+    for name, _ in specs():
+        path = csv_dir / f"{name}.singular.csv"
+        rows = path.read_text().splitlines()[1:] if path.exists() else []
+        for k in sorted({0, len(rows) // 2, len(rows) - 1} if rows else ()):
+            u, v = rows[k].split(",")[:2]
+            out.append((f"{name}.classify{k}",
+                        ["classify", "--spec", str(spec_dir / f"{name}.json"),
+                         f"--u={u}", f"--v={v}"]))
+    return out
+
+
+def run_round(tmp: Path, label: str, job_list) -> None:
+    """Runs job_list in both trees at once, into tmp/out-<tree>."""
+    (tmp / f"{label}.json").write_text(json.dumps(job_list))
+    runs = []
+    for tree, src in (("parent", tmp / "parent" / "src"),
+                      ("tree", ROOT / "src")):
+        out = tmp / f"out-{tree}"
+        out.mkdir(exist_ok=True)
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _WORKER, str(src),
+             str(tmp / f"{label}.json")], cwd=out))
+    if any([p.wait() != 0 for p in runs]):  # wait for both
+        raise RuntimeError("a worker failed")
+
+
 def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
@@ -99,19 +133,13 @@ def main(argv) -> int:
         spec_dir.mkdir()
         for name, doc in specs():
             (spec_dir / f"{name}.json").write_text(json.dumps(doc))
-        (tmp / "jobs.json").write_text(json.dumps(jobs(spec_dir)))
-        runs = {}
-        for label, src in (("parent", tmp / "parent" / "src"),
-                           ("tree", ROOT / "src")):
-            out = tmp / f"out-{label}"
-            out.mkdir()
-            runs[label] = subprocess.Popen(
-                [sys.executable, "-c", _WORKER, str(src),
-                 str(tmp / "jobs.json")], cwd=out)
-        if any([p.wait() != 0 for p in runs.values()]):  # wait for both
-            print("a worker failed", file=sys.stderr)
-            return 2
         a, b = tmp / "out-parent", tmp / "out-tree"
+        try:
+            run_round(tmp, "jobs", jobs(spec_dir))
+            run_round(tmp, "classify", classify_jobs(spec_dir, a))
+        except RuntimeError as err:
+            print(err, file=sys.stderr)
+            return 2
         names = sorted({p.name for p in a.iterdir()}
                        | {p.name for p in b.iterdir()})
         differ = [n for n in names
