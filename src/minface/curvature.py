@@ -10,6 +10,10 @@ verification battery:
 On a raw null-curve pair the closed route is unavailable and silently
 delegates to the extrinsic one (same value, no data functions needed).
 
+Each quantity is one formula over a u-record and a v-record
+(``AxisSamples``); a per-point function runs it on the one-point records of
+its (u, v) and raises the typed error where the formula's mask is False.
+
 The second half of the module deals with the generating curves themselves:
 orientation signs det(gamma', gamma'', gamma'''), the winding-rate signs of
 the tangent indicatrices, and reparametrization by pseudo-arclength (the
@@ -28,12 +32,13 @@ import numpy as np
 
 from .errors import (DegenerateAtPoint, DegenerateOnInterval, FlatPoint,
                      SingularPoint, SingularNeighborhood)
-from .expr import eval_array
-from .jets import Jet3, elementwise, float_pow
-from .lorentz import METRIC, det3, enorm, mdot, vec3
+from .expr import eval_array, eval_jet
+from .jets import SCALAR_OPS, Jet3, elementwise, float_pow, lift_variable
+from .lorentz import det3, enorm, mdot, vec3
 from .quadrature import adaptive_quad
-from .surface import (REGULAR_TOL, Surface, SurfaceJet, _prime_array,
-                      as_pair, get_data, jets_at)
+from .surface import (REGULAR_TOL, Surface, SurfaceJet, _phi_jets,
+                      _prime_array, _psi_jets, as_pair, get_data,
+                      normal_samples, require_data)
 
 FD_STEP = 1e-3
 # A curve counts as degenerate (flat) where its acceleration pseudo-norm is at
@@ -62,15 +67,25 @@ def _unpack(jets) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c1, c2, c3
 
 
+def _orientation_det(vel, acc, jerk, tol: float = 1e-12):
+    """det(gamma', gamma'', gamma''') of a null curve, and where it is not
+    negligible against (1 + |gamma'|)(1 + |gamma''|)(1 + |gamma'''|)."""
+    det = det3(vel, acc, jerk)
+    scale = (1.0 + enorm(vel)) * (1.0 + enorm(acc)) * (1.0 + enorm(jerk))
+    return det, ~(np.abs(det) <= tol * scale)
+
+
 class AxisSamples:
     """One generating curve of a surface, sampled at every parameter of ts.
 
     Evaluates once the data jets g and w (g1, w1 on axis u; None on a raw
     curve pair) and the velocity, acceleration and jerk; the per-axis
-    arrays below derive from them on first use. Each element equals the
-    per-point function at that parameter bit for bit. ts may have any
-    shape: records on ``us[:, None]`` and ``vs[None, :]`` broadcast the
-    two-variable formulas below to a grid.
+    arrays below derive from them on first use. A float ts is evaluated
+    through the scalar jet closures, an array through ``eval_array``; each
+    array element equals the float record at that parameter bit for bit,
+    and every attribute and formula below runs unchanged on both. ts may
+    have any shape: records on ``us[:, None]`` and ``vs[None, :]`` broadcast
+    the two-variable formulas below to a grid.
     """
 
     def __init__(self, surface: Surface, axis: str, ts):
@@ -78,37 +93,45 @@ class AxisSamples:
             raise ValueError(f"axis must be 'u' or 'v', not {axis!r}")
         self.surface, self.axis = surface, axis
         self.ts = np.asarray(ts, dtype=np.float64)
+        one = self.ts.ndim == 0
         d = get_data(surface)
         if d is None:
             pair = as_pair(surface)
             self.g = self.w = None
-            jets = (pair.phi_prime_array if axis == "u"
-                    else pair.psi_prime_array)(self.ts)
+            if axis == "u":
+                prime = pair.phi_prime if one else pair.phi_prime_array
+            else:
+                prime = pair.psi_prime if one else pair.psi_prime_array
+            jets = prime(self.ts.item() if one else self.ts)
         else:
-            self.g, self.w = (eval_array(e, self.ts) for e in (
-                (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)))
-            jets = _prime_array(axis, self.g, self.w)
+            exprs = (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)
+            if one:
+                x = lift_variable(self.ts.item())
+                self.g, self.w = (eval_jet(e, x) for e in exprs)
+                jets = (_phi_jets if axis == "u" else _psi_jets)(
+                    SCALAR_OPS, self.g, self.w)
+            else:
+                self.g, self.w = (eval_array(e, self.ts) for e in exprs)
+                jets = _prime_array(axis, self.g, self.w)
+        # np.array is the cheap way to one 3-vector
         self.vel, self.acc, self.jerk = (
-            np.stack([getattr(j, slot) for j in jets], axis=-1)
-            for slot in ("value", "d1", "d2"))
+            np.array(x) if one else np.stack(x, axis=-1)
+            for x in zip(*(j.as_tuple()[:3] for j in jets)))
 
     def shifted(self, step: float) -> "AxisSamples":
         """The record at ts + step."""
         return AxisSamples(self.surface, self.axis, self.ts + step)
 
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """Where the curve degenerates, as flat_classify tests it."""
+    def flat(self, tol: float = FLAT_TOL) -> np.ndarray:
+        """Where the curve degenerates, as flat_classify tests it at tol."""
         scale = (1.0 + enorm(self.vel) + enorm(self.acc)) ** 2
-        return np.abs(mdot(self.acc, self.acc)) <= FLAT_TOL * scale
+        return np.abs(mdot(self.acc, self.acc)) <= tol * scale
 
     @cached_property
     def orientation(self) -> Tuple[np.ndarray, np.ndarray]:
         """Signs of ``orientation`` at each t, and where it has one."""
-        det = det3(self.vel, self.acc, self.jerk)
-        scale = ((1.0 + enorm(self.vel)) * (1.0 + enorm(self.acc))
-                 * (1.0 + enorm(self.jerk)))
-        return np.where(det > 0, 1, -1), ~(np.abs(det) <= 1e-12 * scale)
+        det, ok = _orientation_det(self.vel, self.acc, self.jerk)
+        return np.where(det > 0, 1, -1), ok
 
     @cached_property
     def quartic_root(self) -> np.ndarray:
@@ -116,7 +139,7 @@ class AxisSamples:
         return float_pow(np.fmax(mdot(self.acc, self.acc), 0.0), 0.25)
 
     def winding_sign(self, step: float = 1e-5):
-        """``_angle_rate_sign`` at each t, and where it has one."""
+        """The sign of ``winding_signs`` at each t, and where it has one."""
 
         def angle(c1):
             fwd = c1 * np.where(c1[..., 0] > 0, 1.0, -1.0)[..., None]
@@ -166,29 +189,16 @@ _log = elementwise(math.log)
 _atan2 = elementwise(math.atan2, 2)
 
 
+def lambda_samples(su: AxisSamples, sv: AxisSamples):
+    """Lambda = <phi', psi'> / 4, the metric coefficient <f_u, f_v>."""
+    return 0.25 * mdot(su.vel, sv.vel)
+
+
 def regular_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
-    """Where ``_require_regular`` passes."""
-    lam = 0.25 * mdot(su.vel, sv.vel)
+    """Where Lambda is not negligible: off the singular set."""
     scale = enorm(su.vel) * enorm(sv.vel)
-    return ~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300))
-
-
-def normal_samples(su: AxisSamples, sv: AxisSamples):
-    """The unit normal nu of jets_at, by its formula and tests."""
-    with np.errstate(all="ignore"):
-        if su.g is not None:
-            g1, g2 = su.g.value, sv.g.value
-            gg = g1 * g2
-            denom = np.abs(1.0 - gg)
-            nu = (np.stack([g1 + g2, g1 - g2, -1.0 - gg], axis=-1)
-                  / denom[..., None])
-            return nu, denom > 1e-14 * (1.0 + np.abs(gg))
-        f_u, f_v = 0.5 * su.vel, 0.5 * sv.vel
-        w_l = np.cross(f_u, f_v) * METRIC
-        s2 = mdot(w_l, w_l)
-        scale = enorm(f_u) * enorm(f_v)
-        return (w_l / np.sqrt(s2)[..., None],
-                s2 > float_pow(REGULAR_TOL * np.maximum(scale, 1e-30), 2))
+    return ~(np.abs(lambda_samples(su, sv))
+             <= REGULAR_TOL * np.maximum(scale, 1e-300))
 
 
 def closed_k_samples(su: AxisSamples, sv: AxisSamples):
@@ -218,30 +228,37 @@ def area_density_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
                 * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(g1 + g2, 2)))
 
 
+def _extrinsic_k(f_u, f_v, Q, R):
+    """K = -Q R / Lambda^2 with Lambda = <f_u, f_v>, and where Lambda is not
+    negligible against |f_u| |f_v|."""
+    lam = mdot(f_u, f_v)
+    scale = enorm(f_u) * enorm(f_v)
+    with np.errstate(all="ignore"):
+        return (-Q * R / float_pow(lam, 2),
+                ~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300)))
+
+
 def extrinsic_k_samples(su: AxisSamples, sv: AxisSamples):
     """gaussian_curvature(method="extrinsic"): K = -Q R / Lambda^2."""
-    nu, has_nu = normal_samples(su, sv)
-    f_u, f_v = 0.5 * su.vel, 0.5 * sv.vel
+    _, _, nu, has_nu = normal_samples(su, sv)
     with np.errstate(all="ignore"):
-        lam = mdot(f_u, f_v)
-        scale = enorm(f_u) * enorm(f_v)
-        k = (-mdot(0.5 * su.acc, nu) * mdot(0.5 * sv.acc, nu)
-             / float_pow(lam, 2))
-        return k, has_nu & (np.abs(lam)
-                            > REGULAR_TOL * np.maximum(scale, 1e-300))
+        q, r = mdot(0.5 * su.acc, nu), mdot(0.5 * sv.acc, nu)
+    k, ok = _extrinsic_k(0.5 * su.vel, 0.5 * sv.vel, q, r)
+    return k, ok & has_nu
 
 
 def intrinsic_k_samples(su: AxisSamples, sv: AxisSamples, h: float = FD_STEP):
     """gaussian_curvature_intrinsic_fd on the stencil of half-width h."""
-    up, um = su.shifted(h).vel, su.shifted(-h).vel
-    vp, vm = sv.shifted(h).vel, sv.shifted(-h).vel
+    # evaluated in the order the stencil corners first need them
+    up, vp = su.shifted(h), sv.shifted(h)
+    vm, um = sv.shifted(-h), su.shifted(-h)
     with np.errstate(all="ignore"):
-        lam0 = 0.25 * mdot(su.vel, sv.vel)
-        corners = [0.25 * mdot(a, b)
+        lam0 = lambda_samples(su, sv)
+        corners = [lambda_samples(a, b)
                    for a, b in ((up, vp), (up, vm), (um, vp), (um, vm))]
-        ok = lam0 != 0.0
+        ok = np.not_equal(lam0, 0.0)
         for c in corners:
-            ok &= ~((c == 0.0) | ((c > 0) != (lam0 > 0)))
+            ok = ok & (c != 0.0) & ((c > 0) == (lam0 > 0))
         pp, pm, mp, mm = (_log(np.where(ok, np.abs(c), 1.0))
                           for c in corners)
         mixed = (pp - pm - mp + mm) / (4.0 * h * h)
@@ -255,33 +272,43 @@ def sign_prediction_samples(su: AxisSamples, sv: AxisSamples):
     return e_phi * e_psi, regular_samples(su, sv) & ok_u & ok_v
 
 
-def _require_regular(surface: Surface, u: float, v: float) -> float:
-    """Lambda at (u, v), raising SingularPoint where it is negligible."""
-    pair = as_pair(surface)
-    vel_u = pair.phi_prime_value(u)
-    vel_v = pair.psi_prime_value(v)
-    lam = 0.25 * mdot(vel_u, vel_v)
-    scale = enorm(vel_u) * enorm(vel_v)
-    if abs(lam) <= REGULAR_TOL * max(scale, 1e-300):
-        raise SingularPoint(f"({u!r}, {v!r}) lies on the singular set")
-    return lam
+def energy_gauge_samples(su: AxisSamples, sv: AxisSamples):
+    """``energy_gauge``: E = eps (1 - g1 g2)^2 / (4 g1~' g2~'), with eps
+    the sign prediction and g~' = g' t_s the data derivatives in the
+    unit-acceleration gauge."""
+    eps, ok = sign_prediction_samples(su, sv)
+    t_s_u, ok_u = su.gauge_rate()
+    t_s_v, ok_v = sv.gauge_rate()
+    with np.errstate(all="ignore"):
+        e = (eps * float_pow(1.0 - su.g.value * sv.g.value, 2)
+             / (4.0 * (su.g.d1 * t_s_u) * (sv.g.d1 * t_s_v)))
+    return e, ok & ok_u & ok_v
 
 
-def _lambda_value(surface: Surface, u: float, v: float) -> float:
-    pair = as_pair(surface)
-    return 0.25 * mdot(pair.phi_prime_value(u), pair.psi_prime_value(v))
+# --- the per-point functions: the formulas on one-point records --------------
 
 
-# --- the three curvature routes ----------------------------------------------
+def _records(surface: Surface, u: float, v: float):
+    """The one-point u- and v-records of (u, v)."""
+    return AxisSamples(surface, "u", u), AxisSamples(surface, "v", v)
+
+
+def _singular_point(u: float, v: float) -> SingularPoint:
+    return SingularPoint(f"({u!r}, {v!r}) lies on the singular set")
+
+
+def _flat_point(u: float, v: float) -> FlatPoint:
+    return FlatPoint(f"({u!r}, {v!r}) is a flat point; K has no sign there")
 
 
 def gaussian_curvature_extrinsic(j: SurfaceJet) -> float:
     """K = -Q R / Lambda^2 from an already-computed surface jet."""
-    scale = enorm(j.f_u) * enorm(j.f_v)
-    if (j.Q is None or j.R is None
-            or abs(j.Lambda) <= REGULAR_TOL * max(scale, 1e-300)):
-        raise SingularPoint(f"({j.u!r}, {j.v!r}) lies on the singular set")
-    return -j.Q * j.R / j.Lambda ** 2
+    ok = j.Q is not None and j.R is not None
+    if ok:
+        k, ok = _extrinsic_k(j.f_u, j.f_v, j.Q, j.R)
+    if not ok:
+        raise _singular_point(j.u, j.v)
+    return float(k)
 
 
 def gaussian_curvature_intrinsic_fd(d: Surface, u: float, v: float,
@@ -292,17 +319,14 @@ def gaussian_curvature_intrinsic_fd(d: Surface, u: float, v: float,
     Lambda vanishes at the center and SingularNeighborhood when it changes
     sign (or vanishes) across the stencil, where log|Lambda| is not smooth.
     """
-    lam0 = _lambda_value(d, u, v)
-    if lam0 == 0.0:
-        raise SingularPoint(f"({u!r}, {v!r}) lies on the singular set")
-    corners = [_lambda_value(d, u + su * h, v + sv * h)
-               for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    if any(c == 0.0 or (c > 0) != (lam0 > 0) for c in corners):
+    su, sv = _records(d, u, v)
+    if lambda_samples(su, sv) == 0.0:  # before the stencil is evaluated
+        raise _singular_point(u, v)
+    k, ok = intrinsic_k_samples(su, sv, h)
+    if not ok:
         raise SingularNeighborhood(
             f"Lambda changes sign within {h!r} of ({u!r}, {v!r})")
-    pp, pm, mp, mm = (math.log(abs(c)) for c in corners)
-    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
-    return -mixed / lam0
+    return float(k)
 
 
 def gaussian_curvature(surface: Surface, u: float, v: float,
@@ -314,28 +338,15 @@ def gaussian_curvature(surface: Surface, u: float, v: float,
     SingularNeighborhood when its stencil of half-width h straddles a sign
     change of Lambda, where log|Lambda| differentiation is meaningless.
     """
-    if method == "closed":
-        d = get_data(surface)
-        if d is None:
-            return gaussian_curvature(surface, u, v, method="extrinsic")
-        g1 = d.g1_jet(u)
-        g2 = d.g2_jet(v)
-        w1v = d.w1_jet(u).value
-        w2v = d.w2_jet(v).value
-        denom = w1v * w2v * (1.0 - g1.value * g2.value) ** 4
-        if denom == 0.0 or abs(1.0 - g1.value * g2.value) < 1e-15 * (
-                1.0 + abs(g1.value * g2.value)):
-            raise SingularPoint(f"({u!r}, {v!r}) lies on the singular set")
-        return 4.0 * g1.d1 * g2.d1 / denom
-
-    if method == "extrinsic":
-        return gaussian_curvature_extrinsic(
-            jets_at(surface, u, v, with_position=False))
-
     if method == "intrinsic":
         return gaussian_curvature_intrinsic_fd(surface, u, v, h)
-
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("closed", "extrinsic"):
+        raise ValueError(f"unknown method {method!r}")
+    k, ok = (closed_k_samples if method == "closed" else extrinsic_k_samples)(
+        *_records(surface, u, v))
+    if not ok:
+        raise _singular_point(u, v)
+    return float(k)
 
 
 # --- flat points --------------------------------------------------------------
@@ -351,11 +362,10 @@ class FlatTag(Enum):
     @property
     def code(self) -> int:
         """Small integer for tabular export: 0 non-flat, 1 quasi, 2 umbilic."""
-        return _FLAT_CODES[self]
+        return _FLAT_TAGS.index(self)
 
 
-_FLAT_CODES = {FlatTag.NON_FLAT: 0, FlatTag.QUASI_UMBILIC: 1,
-               FlatTag.UMBILIC: 2}
+_FLAT_TAGS = (FlatTag.NON_FLAT, FlatTag.QUASI_UMBILIC, FlatTag.UMBILIC)
 
 
 @dataclass(frozen=True)
@@ -382,23 +392,13 @@ def flat_classify(p: Surface, u: float, v: float,
     The squares are compared against tol scaled by the local jet magnitude.
     Raises SingularPoint off the regular set, where flatness is undefined.
     """
-    _require_regular(p, u, v)
-    pair = as_pair(p)
-    squares = {}
-    for axis, t in (("u", u), ("v", v)):
-        c1, c2, _ = _unpack(axis_curve(pair, axis)(t))
-        acc2 = mdot(c2, c2)
-        scale = (1.0 + enorm(c1) + enorm(c2)) ** 2
-        squares[axis] = (acc2, abs(acc2) <= tol * scale)
-    q_norm2, phi_flat = squares["u"]
-    r_norm2, psi_flat = squares["v"]
-    if phi_flat and psi_flat:
-        tag = FlatTag.UMBILIC
-    elif phi_flat or psi_flat:
-        tag = FlatTag.QUASI_UMBILIC
-    else:
-        tag = FlatTag.NON_FLAT
-    return FlatClassification(tag, q_norm2, r_norm2, phi_flat, psi_flat)
+    su, sv = _records(p, u, v)
+    if not regular_samples(su, sv):
+        raise _singular_point(u, v)
+    phi_flat, psi_flat = bool(su.flat(tol)), bool(sv.flat(tol))
+    return FlatClassification(_FLAT_TAGS[phi_flat + psi_flat],
+                              mdot(su.acc, su.acc), mdot(sv.acc, sv.acc),
+                              phi_flat, psi_flat)
 
 
 # --- orientation and sign bookkeeping ------------------------------------------
@@ -420,10 +420,8 @@ def orientation(curve: CurveFn, t: float, tol: float = 1e-12) -> OrientationSign
     Raises DegenerateAtPoint where the determinant vanishes, which for a
     null curve happens exactly at its degenerate points.
     """
-    c1, c2, c3 = _unpack(curve(t))
-    det = det3(c1, c2, c3)
-    scale = (1.0 + enorm(c1)) * (1.0 + enorm(c2)) * (1.0 + enorm(c3))
-    if abs(det) <= tol * scale:
+    det, ok = _orientation_det(*_unpack(curve(t)), tol)
+    if not ok:
         raise DegenerateAtPoint(
             f"curve is degenerate at {t!r} (det = {det!r})")
     return OrientationSign(1 if det > 0 else -1, det)
@@ -441,15 +439,12 @@ def sign_prediction(d: Surface, u: float, v: float) -> int:
     Raises SingularPoint off the regular set and FlatPoint where either
     curve degenerates (there K = 0 and no sign exists).
     """
-    _require_regular(d, u, v)
-    pair = as_pair(d)
-    try:
-        e_phi = orientation(pair.phi_prime, u).sign
-        e_psi = orientation(pair.psi_prime, v).sign
-    except DegenerateAtPoint as exc:
-        raise FlatPoint(
-            f"({u!r}, {v!r}) is a flat point; K has no sign there") from exc
-    return e_phi * e_psi
+    su, sv = _records(d, u, v)
+    sign, ok = sign_prediction_samples(su, sv)
+    if not ok:
+        raise (_flat_point if regular_samples(su, sv) else _singular_point)(
+            u, v)
+    return int(sign)
 
 
 # --- winding-rate signs ---------------------------------------------------------
@@ -473,26 +468,15 @@ class WindingSigns:
         return self.s_phi * self.s_psi
 
 
-def _angle_rate_sign(curve: CurveFn, t: float, step: float) -> int:
-    def angle(tt: float) -> float:
-        c1, _, _ = _unpack(curve(tt))
-        fwd = c1 * (1.0 if c1[0] > 0 else -1.0)
-        return math.atan2(fwd[2], fwd[1])
-
-    c1, _, _ = _unpack(curve(t))
-    time_sign = 1 if c1[0] > 0 else -1
-    delta = angle(t + step) - angle(t - step)
-    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    if delta == 0.0:
-        raise DegenerateAtPoint(f"tangent angle is stationary at {t!r}")
-    return (1 if delta > 0 else -1) * time_sign
-
-
 def winding_signs(surface: Surface, u: float, v: float,
                   step: float = 1e-5) -> WindingSigns:
-    pair = as_pair(surface)
-    return WindingSigns(_angle_rate_sign(pair.phi_prime, u, step),
-                        _angle_rate_sign(pair.psi_prime, v, step))
+    signs = []
+    for axis, t in (("u", u), ("v", v)):
+        sign, ok = AxisSamples(surface, axis, t).winding_sign(step)
+        if not ok:
+            raise DegenerateAtPoint(f"tangent angle is stationary at {t!r}")
+        signs.append(int(sign))
+    return WindingSigns(*signs)
 
 
 def milnor_sign_check(p: Surface, u: float, v: float,
@@ -504,11 +488,10 @@ def milnor_sign_check(p: Surface, u: float, v: float,
     from the extrinsic curvature route. Raises FlatPoint where K = 0 (no
     sign to compare) and SingularPoint off the regular set.
     """
-    pair = as_pair(p)
-    k = gaussian_curvature_extrinsic(jets_at(pair, u, v, with_position=False))
+    k = gaussian_curvature(p, u, v, method="extrinsic")
     if k == 0.0:
-        raise FlatPoint(f"({u!r}, {v!r}) is a flat point; K has no sign there")
-    return winding_signs(pair, u, v, step).product == (1 if k > 0 else -1)
+        raise _flat_point(u, v)
+    return winding_signs(p, u, v, step).product == (1 if k > 0 else -1)
 
 
 # --- pseudo-arclength -----------------------------------------------------------
@@ -713,14 +696,12 @@ def energy_gauge(surface: Surface, u: float, v: float) -> float:
     eps_phi eps_psi makes E a square root of 1/|K| with the right sign
     bookkeeping. Requires Weierstrass data.
     """
-    from .surface import require_data
-
-    d = require_data(surface, "the energy gauge")
-    eps = sign_prediction(surface, u, v)
-    ru = reparametrize(surface, "u", u)
-    rv = reparametrize(surface, "v", v)
-    g1t = d.g1_jet(u).d1 * ru.t_s
-    g2t = d.g2_jet(v).d1 * rv.t_s
-    g1v = d.g1_jet(u).value
-    g2v = d.g2_jet(v).value
-    return eps * (1.0 - g1v * g2v) ** 2 / (4.0 * g1t * g2t)
+    require_data(surface, "the energy gauge")
+    sign_prediction(surface, u, v)  # raises off the regular set and at flats
+    e, ok = energy_gauge_samples(*_records(surface, u, v))
+    if not ok:
+        # the gauge fails within its difference step of u or v, where
+        # reparametrize raises DegenerateAtPoint for the first such point
+        reparametrize(surface, "u", u)
+        reparametrize(surface, "v", v)
+    return float(e)

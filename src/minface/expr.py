@@ -367,7 +367,16 @@ def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
         op = ops[node.op]
         if node.op == "/":
             op = _located(op, node)
-        return lambda x: op(f(x), g(x))
+            return lambda x: op(f(x), g(x))
+
+        def binop(x):  # located here, not by a wrapper: one call per node
+            try:
+                return op(f(x), g(x))
+            except NonFiniteResult as err:  # a child's is located already
+                raise (err if err.span else NonFiniteResult(
+                    err.args[0], span=node.span)) from None
+
+        return binop
     if isinstance(node, Pow):
         f, n = _compile(node.base, ops), node.exponent
         op = _located(ops["^"], node)

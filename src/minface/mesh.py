@@ -16,8 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
-                        extrinsic_k_samples, regular_samples)
-from .lorentz import mdot
+                        extrinsic_k_samples, lambda_samples, regular_samples)
 from .surface import Surface, as_pair
 
 # A vertex counts as singular (its K cell is left absent) when the proximity
@@ -85,7 +84,7 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
     params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
     su, sv = AxisSamples(d, "u", us[:, None]), AxisSamples(d, "v", vs[None, :])
-    tags = su.flat.astype(int) + sv.flat
+    tags = su.flat().astype(int) + sv.flat()
     if su.g is not None:
         with np.errstate(all="ignore"):
             proxies = np.abs(su.g.value * sv.g.value - 1.0)
@@ -94,7 +93,7 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
         k, has_k = closed_k_samples(su, sv)
         has_k &= proxies > MESH_SINGULAR_TOL
     else:
-        proxies = np.abs(0.25 * mdot(su.vel, sv.vel))
+        proxies = np.abs(lambda_samples(su, sv))
         densities = (None,) * proxies.size
         k, has_k = extrinsic_k_samples(su, sv)
     idx = np.arange(proxies.size).reshape(nu + 1, nv + 1)

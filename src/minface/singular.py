@@ -22,15 +22,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .curvature import AxisSamples, area_density_samples, gaussian_curvature
+from .curvature import AxisSamples, area_density_samples, extrinsic_k_samples
 from .errors import (DegenerateSingular, DivisionByZero, DomainError,
                      NonFiniteResult, NotCuspidalEdge, NotSingular,
-                     RootNotConverged, SingularPoint)
+                     RootNotConverged)
 from .expr import Expression, eval_array
 from .jets import (ARRAY_OPS, SCALAR_OPS, elementwise, float_pow,
                    shift_derivative)
-from .lorentz import det3, enorm
-from .surface import RealWeierstrassData, Surface, require_data
+from .lorentz import det3
+from .surface import RealWeierstrassData, Surface, normal_samples, require_data
 
 DEFAULT_TOL = 1e-9
 
@@ -137,8 +137,8 @@ def signed_area_density(surface: Surface, u: float, v: float) -> float:
     the one-point records of (u, v).
     """
     require_data(surface, "the signed area density")
-    return area_density_samples(AxisSamples(surface, "u", [u]),
-                                AxisSamples(surface, "v", [v]))[0].item()
+    return float(area_density_samples(AxisSamples(surface, "u", u),
+                                      AxisSamples(surface, "v", v)))
 
 
 def lambda_gradient_on_singular(sd: SingularData) -> Tuple[float, float]:
@@ -275,40 +275,32 @@ def normal_twist_identity(surface: Surface, u: float, v: float,
     of n (n appears twice). Returns (lhs, rhs).
     """
     directions_at(surface, u, v)  # raises off the nondegenerate set
-    lhs, rhs = _twist_sides(surface, _stacked([singular_data(surface, u, v)]),
-                            fd_step)
-    return lhs[0].item(), rhs[0].item()
+    lhs, rhs = _twist_sides(surface, singular_data(surface, u, v), fd_step)
+    return float(lhs), float(rhs)
 
 
 def _twist_sides(surface: Surface, sd: SingularData, fd_step: float = 1e-4):
-    """normal_twist_identity at every point of sd, a SingularData of arrays.
+    """normal_twist_identity at every point of sd, of floats or of arrays.
 
     The records of the points give f_u, f_v and n; the records of the four
     stencil points give n there.
     """
     dirs = _directions(sd)
     su, sv = AxisSamples(surface, "u", sd.u), AxisSamples(surface, "v", sd.v)
-    df_gamma = (dirs.gamma_prime[0][:, None] * (0.5 * su.vel)
-                + dirs.gamma_prime[1][:, None] * (0.5 * sv.vel))
+    gu, gv = (np.asarray(x)[..., None] for x in dirs.gamma_prime)
+    df_gamma = gu * (0.5 * su.vel) + gv * (0.5 * sv.vel)
     eu, ev = dirs.eta
     size = _hypot(eu, ev)
     eu, ev = eu / size, ev / size
     h = fd_step
     p1, m1, p2, m2 = (
-        _unit_normal(AxisSamples(surface, "u", sd.u + s * eu),
-                     AxisSamples(surface, "v", sd.v + s * ev))
+        normal_samples(AxisSamples(surface, "u", sd.u + s * eu),
+                       AxisSamples(surface, "v", sd.v + s * ev))[0]
         for s in (h, -h, 2 * h, -2 * h))
-    dn = size[:, None] * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
-    lhs = det3(df_gamma, _unit_normal(su, sv), dn)
+    dn = size[..., None] * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+    lhs = det3(df_gamma, normal_samples(su, sv)[0], dn)
     alpha = -0.5 * sd.w1 * sd.w2 * sd.a_plus_b
     return lhs, alpha * sd.a_minus_b
-
-
-def _unit_normal(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
-    """The Euclidean unit normal n of jets_at in Weierstrass mode."""
-    g1, g2 = su.g.value, sv.g.value
-    w = np.stack([-g1 - g2, g1 - g2, -1.0 - g1 * g2], axis=-1)
-    return w / enorm(w)[..., None]
 
 
 # --- tracing -----------------------------------------------------------------
@@ -724,53 +716,64 @@ def verify_main_theorem(surface: Surface, u: float, v: float,
     with a + b = 0 (swallowtail side) must show K < 0 blowing up as r drops;
     nondegenerate non-front points must show K > 0.
     """
-    sd = singular_data(surface, u, v)
-    report = _classify_arrays(_stacked([sd]), tol, 1)[0]
-    grad = np.array([sd.h_u, sd.h_v])
-    norm = float(np.hypot(*grad))
-    if norm == 0.0:
-        raise DegenerateSingular(
-            f"({u!r}, {v!r}): h has a critical point; no transversal")
-    grad /= norm
-    samples = []
-    for r in radii:
-        for side in (1.0, -1.0):
-            uu = u + side * r * grad[0]
-            vv = v + side * r * grad[1]
-            try:
-                k = gaussian_curvature(surface, uu, vv, method="extrinsic")
-            except SingularPoint:
-                continue
-            samples.append((r, side, k))
-    checks = {}
-    notes = []
-    ks = [k for (_, _, k) in samples]
-    if report.tag is SingularClassification.CUSPIDAL_EDGE:
-        if abs(report.kappa_s) <= kappa_exempt:
-            notes.append(
-                "kappa_s = %.3e is below the exemption threshold; the "
-                "curvature sign nearby is not controlled" % report.kappa_s)
+    return _main_theorem(surface, [u], [v], radii, tol, kappa_exempt)[0]
+
+
+def _main_theorem(surface: Surface, us, vs, radii=(1e-2, 1e-3, 1e-4),
+                  tol: float = DEFAULT_TOL,
+                  kappa_exempt: float = 1e-6) -> List[MainTheoremReport]:
+    """verify_main_theorem at every point (us[k], vs[k]), evaluated all at
+    once; DegenerateSingular names the first point with no transversal."""
+    us, vs = (np.asarray(x, dtype=np.float64) for x in (us, vs))
+    n = len(us)
+    sd = _singular_arrays(require_data(surface, "singular analysis"),
+                          _padded(us), _padded(vs))
+    reports = _classify_arrays(sd, tol, n)
+    norm = np.hypot(sd.h_u, sd.h_v)[:n]
+    if (norm == 0.0).any():
+        k = int(np.argmax(norm == 0.0))
+        raise DegenerateSingular(f"({us[k].item()!r}, {vs[k].item()!r}): "
+                                 "h has a critical point; no transversal")
+    # K at (u, v) + side r grad h / |grad h|, each point's samples in the
+    # order (r, side) for r in radii for side in (1, -1)
+    offsets = [(r, side) for r in radii for side in (1.0, -1.0)]
+    steps = np.array([side * r for r, side in offsets])
+    ks, sampled = extrinsic_k_samples(*(
+        AxisSamples(surface, axis, _padded(
+            (t[:, None] + steps * (h[:n] / norm)[:, None]).ravel()))
+        for axis, t, h in (("u", us, sd.h_u), ("v", vs, sd.h_v))))
+    ks, sampled = (x[:n * len(steps)].reshape(n, -1) for x in (ks, sampled))
+    # each side's columns in order of decreasing r
+    by_r = (2 * np.argsort(np.negative(radii), kind="stable")
+            + np.array([[0], [1]]))
+    out = []
+    for i, report in enumerate(reports):
+        k, got = ks[i], sampled[i]
+        checks, notes = {}, []
+        if report.tag is SingularClassification.CUSPIDAL_EDGE:
+            if abs(report.kappa_s) <= kappa_exempt:
+                notes.append(
+                    "kappa_s = %.3e is below the exemption threshold; the "
+                    "curvature sign nearby is not controlled"
+                    % report.kappa_s)
+            else:
+                checks["curvature_sign_matches_kappa_s"] = bool(
+                    np.all(~got | ((k > 0) == (report.kappa_s > 0))))
+        elif report.is_front and report.tag in (
+                SingularClassification.SWALLOWTAIL,
+                SingularClassification.UNRESOLVED):
+            checks["curvature_negative"] = bool(np.all(~got | (k < 0)))
+            # |K| must exceed every |K| sampled at a larger r on its side
+            m = np.where(got, np.abs(k), np.nan)[by_r]
+            checks["curvature_magnitude_grows"] = bool(np.all(
+                ~(m[:, 1:] <= np.fmax.accumulate(m, axis=1)[:, :-1])))
+        elif not report.is_front and report.is_nondegenerate:
+            checks["curvature_positive"] = bool(np.all(~got | (k > 0)))
         else:
-            want_pos = report.kappa_s > 0
-            checks["curvature_sign_matches_kappa_s"] = all(
-                (k > 0) == want_pos for k in ks)
-    elif report.is_front and report.tag in (
-            SingularClassification.SWALLOWTAIL,
-            SingularClassification.UNRESOLVED):
-        checks["curvature_negative"] = all(k < 0 for k in ks)
-        by_side = {}
-        for r, side, k in samples:
-            by_side.setdefault(side, []).append((r, abs(k)))
-        grows = True
-        for vals in by_side.values():
-            vals.sort(reverse=True)  # decreasing r
-            mags = [m for (_, m) in vals]
-            grows = grows and all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
-        checks["curvature_magnitude_grows"] = grows
-    elif not report.is_front and report.is_nondegenerate:
-        checks["curvature_positive"] = all(k > 0 for k in ks)
-    else:
-        notes.append("degenerate point: no curvature-sign prediction")
-    if not samples:
-        checks["sampled_nearby_curvature"] = False
-    return MainTheoremReport(report, samples, checks, notes)
+            notes.append("degenerate point: no curvature-sign prediction")
+        samples = [(r, side, kk) for (r, side), kk, ok in zip(
+            offsets, k.tolist(), got.tolist()) if ok]
+        if not samples:
+            checks["sampled_nearby_curvature"] = False
+        out.append(MainTheoremReport(report, samples, checks, notes))
+    return out

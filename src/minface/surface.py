@@ -34,9 +34,9 @@ from .errors import (DataConversionDegenerate, InvalidCurveData,
                      InvalidWeierstrassData, ModeUnsupported, SingularPoint,
                      SpecFileError)
 from .expr import Expression, eval_array, eval_jet, eval_value, parse
-from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, lift_variable,
-                   shift_derivative)
-from .lorentz import enorm, mdot, vec3
+from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, float_pow,
+                   lift_variable, shift_derivative)
+from .lorentz import METRIC, enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
 QUAD_TOL = 1e-12
@@ -388,11 +388,22 @@ class RecoveredData:
     theta: float
 
 
-def _rotate_time_axis(vel: np.ndarray, theta: float) -> np.ndarray:
-    if theta == 0.0:
-        return vel
-    c, s = math.cos(theta), math.sin(theta)
-    return vec3(vel[0], vel[1] * c - vel[2] * s, vel[1] * s + vel[2] * c)
+def _recovered(axis: str, vel: np.ndarray, theta: float = 0.0,
+               tol: float = 1e-12):
+    """(g, w, ok): the data recovered from the velocities vel of the u- or
+    v-curve, of shape (..., 3), and where w passes the degeneracy test."""
+    if theta != 0.0:  # rotate about the timelike axis
+        c, s = math.cos(theta), math.sin(theta)
+        vel = np.stack([vel[..., 0], vel[..., 1] * c - vel[..., 2] * s,
+                        vel[..., 1] * s + vel[..., 2] * c], axis=-1)
+    with np.errstate(all="ignore"):
+        if axis == "u":
+            w = 0.5 * (vel[..., 1] - vel[..., 0])
+            g = vel[..., 2] / (2.0 * w)
+        else:
+            w = 0.5 * (vel[..., 0] + vel[..., 1])
+            g = -vel[..., 2] / (2.0 * w)
+    return g, w, ~(np.abs(w) <= tol * np.fmax(1.0, enorm(vel)))
 
 
 def data_from_curves(pair: NullCurvePair, theta: float = 0.0,
@@ -406,29 +417,20 @@ def data_from_curves(pair: NullCurvePair, theta: float = 0.0,
     a different theta usually removes the degeneracy.
     """
 
-    def w1_at(u: float) -> float:
-        vel = _rotate_time_axis(pair.phi_prime_value(u), theta)
-        w = 0.5 * (vel[1] - vel[0])
-        if abs(w) <= tol * max(1.0, enorm(vel)):
-            raise DataConversionDegenerate("u", u)
-        return w
+    def at(axis: str, slot: int) -> Callable[[float], float]:
+        velocity = (pair.phi_prime_value if axis == "u"
+                    else pair.psi_prime_value)
 
-    def g1_at(u: float) -> float:
-        vel = _rotate_time_axis(pair.phi_prime_value(u), theta)
-        return vel[2] / (2.0 * w1_at(u))
+        def fn(t: float) -> float:
+            recovered = _recovered(axis, velocity(t), theta, tol)
+            if not recovered[2]:
+                raise DataConversionDegenerate(axis, t)
+            return float(recovered[slot])
 
-    def w2_at(v: float) -> float:
-        vel = _rotate_time_axis(pair.psi_prime_value(v), theta)
-        w = 0.5 * (vel[0] + vel[1])
-        if abs(w) <= tol * max(1.0, enorm(vel)):
-            raise DataConversionDegenerate("v", v)
-        return w
+        return fn
 
-    def g2_at(v: float) -> float:
-        vel = _rotate_time_axis(pair.psi_prime_value(v), theta)
-        return -vel[2] / (2.0 * w2_at(v))
-
-    return RecoveredData(g1_at, g2_at, w1_at, w2_at, theta)
+    return RecoveredData(at("u", 0), at("v", 0), at("u", 1), at("v", 1),
+                         theta)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -483,40 +485,45 @@ def jets_at(surface: Surface, u: float, v: float,
     f_v = 0.5 * vec3(qj[0].value, qj[1].value, qj[2].value)
     f_uu = 0.5 * vec3(pj[0].d1, pj[1].d1, pj[2].d1)
     f_vv = 0.5 * vec3(qj[0].d1, qj[1].d1, qj[2].d1)
-    f_uv = np.zeros(3)
-    lam = mdot(f_u, f_v)
     f = evaluate(surface, u, v) if with_position else np.zeros(3)
-
     d = get_data(surface)
-    if d is not None:
-        g1v = d.g1_jet(u).value
-        g2v = d.g2_jet(v).value
-        w = vec3(-g1v - g2v, g1v - g2v, -1.0 - g1v * g2v)
-        n = w / enorm(w)  # never zero: needs g1=g2=0 and 1+g1*g2=0 at once
-        denom = 1.0 - g1v * g2v
-        if abs(denom) > 1e-14 * (1.0 + abs(g1v * g2v)):
-            nu = vec3(g1v + g2v, g1v - g2v, -1.0 - g1v * g2v) / abs(denom)
-            Q = mdot(f_uu, nu)
-            R = mdot(f_vv, nu)
-        else:
-            nu = Q = R = None
-        mode = "weierstrass"
-    else:
+    g = () if d is None else (d.g1_jet(u).value, d.g2_jet(v).value)
+    n, has_n, nu, has_nu = _normals(f_u, f_v, *g)
+    Q = R = None
+    if has_nu:
+        Q, R = mdot(f_uu, nu), mdot(f_vv, nu)
+    return SurfaceJet(u, v, f, f_u, f_v, f_uu, f_vv, np.zeros(3),
+                      mdot(f_u, f_v), n if has_n else None,
+                      nu if has_nu else None, Q, R,
+                      "curves" if d is None else "weierstrass")
+
+
+def _normals(f_u, f_v, g1=None, g2=None):
+    """(n, has_n, nu, has_nu): the Euclidean and the Lorentzian unit normal
+    of jets_at at vectors or stacks, each with where it exists; from the
+    data values g1, g2 in Weierstrass mode (there n always exists)."""
+    with np.errstate(all="ignore"):
+        if g1 is not None:
+            gg = g1 * g2
+            w = np.stack([-g1 - g2, g1 - g2, -1.0 - gg], axis=-1)
+            denom = np.abs(1.0 - gg)
+            nu = (np.stack([g1 + g2, g1 - g2, -1.0 - gg], axis=-1)
+                  / denom[..., None])
+            return (w / np.asarray(enorm(w))[..., None], True, nu,
+                    denom > 1e-14 * (1.0 + np.abs(gg)))
         w_e = np.cross(f_u, f_v)
-        scale = enorm(f_u) * enorm(f_v)
+        size = REGULAR_TOL * np.maximum(enorm(f_u) * enorm(f_v), 1e-30)
         mag = enorm(w_e)
-        n = w_e / mag if mag > REGULAR_TOL * max(scale, 1e-30) else None
-        w_l = vec3(-w_e[0], w_e[1], w_e[2])
+        w_l = w_e * METRIC
         s2 = mdot(w_l, w_l)
-        if s2 > (REGULAR_TOL * max(scale, 1e-30)) ** 2:
-            nu = w_l / math.sqrt(s2)
-            Q = mdot(f_uu, nu)
-            R = mdot(f_vv, nu)
-        else:
-            nu = Q = R = None
-        mode = "curves"
-    return SurfaceJet(u, v, f, f_u, f_v, f_uu, f_vv, f_uv, lam, n, nu, Q, R,
-                      mode)
+        return (w_e / np.asarray(mag)[..., None], mag > size,
+                w_l / np.sqrt(s2)[..., None], s2 > float_pow(size, 2))
+
+
+def normal_samples(su, sv):
+    """``_normals`` of the u-record su and the v-record sv (AxisSamples)."""
+    g = () if su.g is None else (su.g.value, sv.g.value)
+    return _normals(0.5 * su.vel, 0.5 * sv.vel, *g)
 
 
 def mean_curvature_residual(surface: Surface, u: float, v: float) -> float:

@@ -19,18 +19,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
-                        extrinsic_k_samples, gathered, intrinsic_k_samples,
-                        normal_samples, sign_prediction_samples)
-from .errors import MinfaceError
-from .expr import eval_array, eval_value
-from .jets import float_pow
+                        energy_gauge_samples, extrinsic_k_samples, gathered,
+                        intrinsic_k_samples, sign_prediction_samples)
+from .errors import DataConversionDegenerate, MinfaceError
+from .expr import eval_array
 from .lorentz import enorm, mdot
 from .singular import (DEFAULT_TOL, SingularClassification, _classify_arrays,
-                       _directions, _hypot, _padded, _singular_arrays,
-                       _twist_sides, all_reports, trace_singular_set,
-                       verify_main_theorem)
-from .surface import (RealWeierstrassData, Rect, Surface, as_pair,
-                      conjugate_data, data_from_curves, get_data,
+                       _directions, _hypot, _main_theorem, _padded,
+                       _singular_arrays, _twist_sides, all_reports,
+                       trace_singular_set)
+from .surface import (RealWeierstrassData, Rect, Surface, _recovered,
+                      as_pair, conjugate_data, get_data, normal_samples,
                       require_data)
 
 
@@ -169,7 +168,7 @@ def check_minimality(surface: Surface, n: int = 1000, seed: int = 0,
     """
     su, sv = _regular_samples(surface, n, np.random.default_rng(seed),
                               nonflat=False)
-    nu, has_nu = normal_samples(su, sv)
+    _, _, nu, has_nu = normal_samples(su, sv)
     lam = mdot(0.5 * su.vel, 0.5 * sv.vel)
     with np.errstate(all="ignore"):
         residual = 2.0 * mdot(np.zeros(3), nu) / lam
@@ -210,35 +209,35 @@ def check_energy_gauge(surface: Surface, n: int = 50, seed: int = 0,
     su, sv = _regular_samples(surface, n, np.random.default_rng(seed))
     require_data(surface, "the energy gauge")
     k, ok_k = closed_k_samples(su, sv)
-    eps, ok_e = sign_prediction_samples(su, sv)
-    t_s_u, ok_u = su.gauge_rate()
-    t_s_v, ok_v = sv.gauge_rate()
+    e, ok_e = energy_gauge_samples(su, sv)
+    eps, _ = sign_prediction_samples(su, sv)
     with np.errstate(all="ignore"):
-        # curvature.energy_gauge
-        e = (eps * float_pow(1.0 - su.g.value * sv.g.value, 2)
-             / (4.0 * (su.g.d1 * t_s_u) * (sv.g.d1 * t_s_v)))
         error = np.abs(k * e * e - eps)
-    worst = _worst(error[ok_k & ok_e & ok_u & ok_v])
+    worst = _worst(error[ok_k & ok_e])
     return CheckResult("energy_gauge", worst < tol and su.ts.size > 0, worst,
                        su.ts.size)
 
 
 def check_data_roundtrip(surface: Surface, n: int = 100,
                          tol: float = 1e-10, seed: int = 0) -> CheckResult:
-    """Recovering (g1, g2, w1, w2) from the generated curves reproduces them."""
-    d = get_data(surface)
-    rec = data_from_curves(as_pair(surface))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        u = float(rng.uniform(d.domain.u_min, d.domain.u_max))
-        v = float(rng.uniform(d.domain.v_min, d.domain.v_max))
-        worst = max(
-            worst,
-            abs(rec.g1(u) - eval_value(d.g1, u)),
-            abs(rec.w1(u) - eval_value(d.w1, u)),
-            abs(rec.g2(v) - eval_value(d.g2, v)),
-            abs(rec.w2(v) - eval_value(d.w2, v)))
+    """Recovering (g1, g2, w1, w2) from the generated curves reproduces them.
+
+    The recovery is ``surface.data_from_curves``'s, on the velocities of n
+    uniform points; DataConversionDegenerate names the first point, u
+    before v, where it fails.
+    """
+    dom = get_data(surface).domain
+    uv = np.random.default_rng(seed).uniform(
+        [dom.u_min, dom.v_min], [dom.u_max, dom.v_max], (n, 2))
+    errors, ok = [], np.empty((n, 2), dtype=bool)
+    for col, axis in enumerate("uv"):
+        s = AxisSamples(surface, axis, uv[:, col])
+        g, w, ok[:, col] = _recovered(axis, s.vel)
+        errors += [np.abs(g - s.g.value), np.abs(w - s.w.value)]
+    if not ok.all():
+        k, col = np.argwhere(~ok)[0]  # row-major: first point, u before v
+        raise DataConversionDegenerate("uv"[col], uv[k, col].item())
+    worst = _worst(np.concatenate(errors))
     return CheckResult("data_roundtrip", worst < tol, worst, n)
 
 
@@ -343,15 +342,10 @@ def check_main_theorem(surface: Surface, grid_n: int = 64,
     if not reports:
         return CheckResult("main_theorem", True, None, 0,
                            "no singular points in domain")
-    stride = max(1, len(reports) // max_points)
-    bad = 0
-    count = 0
-    for rep in reports[::stride]:
-        count += 1
-        outcome = verify_main_theorem(surface, rep.u, rep.v)
-        if not outcome.passed:
-            bad += 1
-    return CheckResult("main_theorem", bad == 0, float(bad), count,
+    picked = reports[::max(1, len(reports) // max_points)]
+    bad = sum(not outcome.passed for outcome in _main_theorem(
+        surface, [r.u for r in picked], [r.v for r in picked]))
+    return CheckResult("main_theorem", bad == 0, float(bad), len(picked),
                        f"{bad} failed points")
 
 

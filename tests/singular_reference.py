@@ -1,25 +1,30 @@
 """Per-point references for the singular layer, independent of its arrays.
 
 The scalar bodies below are the ones ``minface.singular`` ran per point
-before its classifier, directions, twist identity and area density became
-one array formula each: the decision tree on one ``SingularData`` of floats,
-and the three trace-based battery checks as loops over the traced points.
-The tests compare the library against them bit for bit.
+before its classifier, directions, twist identity, area density and main
+theorem check became one array formula each: the decision tree on one
+``SingularData`` of floats, and the four trace-based battery checks as loops
+over the traced points. Surface jets and curvature come from the scalar
+references of ``curvature_reference``. The tests compare the library against
+them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from minface.errors import DegenerateSingular, NotSingular
+from minface.errors import DegenerateSingular, NotSingular, SingularPoint
 from minface.expr import eval_value
 from minface.lorentz import det3
-from minface.singular import (DEFAULT_TOL, SingularClassification,
-                              SingularDirections, SingularPointReport,
-                              all_reports, lambda_gradient_on_singular,
-                              singular_data, trace_singular_set)
-from minface.surface import conjugate_data, jets_at, require_data
+from minface.singular import (DEFAULT_TOL, MainTheoremReport,
+                              SingularClassification, SingularDirections,
+                              SingularPointReport, all_reports,
+                              lambda_gradient_on_singular, singular_data,
+                              trace_singular_set)
+from minface.surface import conjugate_data, require_data
 from minface.verify import CheckResult
+
+from curvature_reference import reference_gaussian_curvature, reference_jets_at
 
 
 def _require_singular(sd, tol):
@@ -109,11 +114,11 @@ def reference_directions(surface, u, v, tol=DEFAULT_TOL):
 def reference_twist(surface, u, v, fd_step=1e-4):
     sd = singular_data(surface, u, v)
     dirs = reference_directions(surface, u, v)
-    sj = jets_at(surface, u, v, with_position=False)
+    sj = reference_jets_at(surface, u, v, with_position=False)
     df_gamma = dirs.gamma_prime[0] * sj.f_u + dirs.gamma_prime[1] * sj.f_v
 
     def n_at(uu, vv):
-        return jets_at(surface, uu, vv, with_position=False).n
+        return reference_jets_at(surface, uu, vv, with_position=False).n
 
     eu, ev = dirs.eta
     size = math.hypot(eu, ev)
@@ -212,6 +217,80 @@ def reference_kappa_zero_locus(surface, grid_n=128, lo=1e-8, hi=1e-4):
                            "no cuspidal edges in domain")
     return CheckResult("kappa_zero_locus", bad == 0, float(bad), count,
                        f"{bad} mismatches")
+
+
+# --- the main theorem, point by point ---------------------------------------
+
+
+def reference_main_theorem(surface, u, v, radii=(1e-2, 1e-3, 1e-4),
+                           tol=DEFAULT_TOL, kappa_exempt=1e-6):
+    sd = singular_data(surface, u, v)
+    report = reference_classify(sd, tol)
+    grad = np.array([sd.h_u, sd.h_v])
+    norm = float(np.hypot(*grad))
+    if norm == 0.0:
+        raise DegenerateSingular(
+            f"({u!r}, {v!r}): h has a critical point; no transversal")
+    grad /= norm
+    samples = []
+    for r in radii:
+        for side in (1.0, -1.0):
+            uu = u + side * r * grad[0]
+            vv = v + side * r * grad[1]
+            try:
+                k = reference_gaussian_curvature(surface, uu, vv, "extrinsic")
+            except SingularPoint:
+                continue
+            samples.append((r, side, k))
+    checks = {}
+    notes = []
+    ks = [k for (_, _, k) in samples]
+    if report.tag is SingularClassification.CUSPIDAL_EDGE:
+        if abs(report.kappa_s) <= kappa_exempt:
+            notes.append(
+                "kappa_s = %.3e is below the exemption threshold; the "
+                "curvature sign nearby is not controlled" % report.kappa_s)
+        else:
+            want_pos = report.kappa_s > 0
+            checks["curvature_sign_matches_kappa_s"] = all(
+                (k > 0) == want_pos for k in ks)
+    elif report.is_front and report.tag in (
+            SingularClassification.SWALLOWTAIL,
+            SingularClassification.UNRESOLVED):
+        checks["curvature_negative"] = all(k < 0 for k in ks)
+        by_side = {}
+        for r, side, k in samples:
+            by_side.setdefault(side, []).append((r, abs(k)))
+        grows = True
+        for vals in by_side.values():
+            vals.sort(reverse=True)  # decreasing r
+            mags = [m for (_, m) in vals]
+            grows = grows and all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
+        checks["curvature_magnitude_grows"] = grows
+    elif not report.is_front and report.is_nondegenerate:
+        checks["curvature_positive"] = all(k > 0 for k in ks)
+    else:
+        notes.append("degenerate point: no curvature-sign prediction")
+    if not samples:
+        checks["sampled_nearby_curvature"] = False
+    return MainTheoremReport(report, samples, checks, notes)
+
+
+def reference_check_main_theorem(surface, grid_n=64, max_points=40):
+    curves = trace_singular_set(surface, grid_n)
+    reports = [r for r in all_reports(curves) if r.is_nondegenerate]
+    if not reports:
+        return CheckResult("main_theorem", True, None, 0,
+                           "no singular points in domain")
+    stride = max(1, len(reports) // max_points)
+    bad = 0
+    count = 0
+    for rep in reports[::stride]:
+        count += 1
+        if not reference_main_theorem(surface, rep.u, rep.v).passed:
+            bad += 1
+    return CheckResult("main_theorem", bad == 0, float(bad), count,
+                       f"{bad} failed points")
 
 
 def same_bits(a, b):

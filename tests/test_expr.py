@@ -140,6 +140,11 @@ def _entry_points(e, x):
     ("cos(u)", -math.inf, DomainError, (0, 6)),
     ("tan(u)", math.inf, DomainError, (0, 6)),
     ("sqrt(u - 1)", 1.0, DomainError, (0, 11)),
+    ("u*u", 1e200, NonFiniteResult, (0, 3)),
+    ("u+u", 1e308, NonFiniteResult, (0, 3)),
+    ("-u-u", 1e308, NonFiniteResult, (0, 4)),
+    ("1 - u*u + 2", 1e200, NonFiniteResult, (4, 7)),  # the innermost node
+    ("u*(u+u)", 1e308, NonFiniteResult, (2, 7)),
 ])
 def test_evaluation_error_is_located_at_its_node(text, x, error, span):
     messages = set()

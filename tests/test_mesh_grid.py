@@ -1,9 +1,10 @@
 """The separable grid sampler against the per-point functions.
 
-The reference below walks every vertex with the public per-point routes
-(gaussian_curvature, flat_classify) and the scalar area density formula
-(``reference_signed_area_density``) and writes the exports one row at a time
-with the csv module, as the mesh module once did.
+The reference below walks every vertex with the scalar per-point bodies of
+the curvature route, the flat classification and the area density (the
+references of ``curvature_reference`` and ``singular_reference``) and writes
+the exports one row at a time with the csv module, as the mesh module once
+did.
 """
 
 import csv
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from minface import gallery
-from minface.curvature import flat_classify, gaussian_curvature
 from minface.errors import SingularNeighborhood, SingularPoint
 from minface.lorentz import mdot
 from minface.mesh import (MESH_SINGULAR_TOL, export_fields_csv, export_obj,
@@ -21,6 +21,8 @@ from minface.mesh import (MESH_SINGULAR_TOL, export_fields_csv, export_obj,
 from minface.surface import as_pair, get_data
 from minface.verify import make_random_poly_data
 
+from curvature_reference import (reference_flat_classify,
+                                 reference_gaussian_curvature)
 from singular_reference import reference_signed_area_density
 from test_mesh import masking_example
 
@@ -55,20 +57,20 @@ def reference_mesh(d, nu, nv):
             if data is not None:
                 proxy = abs(data.g1_jet(u).value * data.g2_jet(v).value - 1.0)
                 k = (None if proxy <= MESH_SINGULAR_TOL
-                     else gaussian_curvature(d, u, v))
+                     else reference_gaussian_curvature(d, u, v))
                 densities.append(reference_signed_area_density(d, u, v))
             else:
                 proxy = abs(0.25 * mdot(pair.phi_prime_value(u),
                                         pair.psi_prime_value(v)))
                 try:
-                    k = gaussian_curvature(d, u, v)
+                    k = reference_gaussian_curvature(d, u, v)
                 except (SingularPoint, SingularNeighborhood):
                     k = None
                 densities.append(None)
             proxies.append(proxy)
             k_values.append(k)
             try:
-                tags.append(flat_classify(d, u, v).tag.code)
+                tags.append(reference_flat_classify(d, u, v).tag.code)
             except SingularPoint:
                 tags.append(None)
     faces = []

@@ -1,9 +1,10 @@
 """The vectorized battery checks against per-point reference loops.
 
 Each reference below is the per-point loop the check ran before it was
-vectorized, written with the public per-point functions. The vectorized
-check must return an equal CheckResult: the same points, skips, counts and
-worst errors, bit for bit.
+vectorized, written with the scalar per-point bodies of
+``curvature_reference`` (the public per-point functions now run the checks'
+own formulas). The vectorized check must return an equal CheckResult: the
+same points, skips, counts and worst errors, bit for bit.
 """
 
 import sys
@@ -14,18 +15,15 @@ import numpy as np
 import pytest
 
 from minface import expr, gallery, singular, surface, verify
-from minface.curvature import (AxisSamples, _angle_rate_sign, axis_curve,
-                               closed_k_samples, energy_gauge,
-                               extrinsic_k_samples, gaussian_curvature,
-                               intrinsic_k_samples, milnor_sign_check,
-                               reparametrize, sign_prediction,
-                               sign_prediction_samples)
+from minface.curvature import (AxisSamples, axis_curve, closed_k_samples,
+                               extrinsic_k_samples, intrinsic_k_samples,
+                               reparametrize, sign_prediction_samples)
 from minface.errors import (DegenerateAtPoint, FlatPoint, SingularNeighborhood,
                             SingularPoint)
 from minface.expr import eval_value
 from minface.lorentz import enorm, mdot
 from minface.mesh import sample_grid
-from minface.surface import as_pair, get_data, mean_curvature_residual
+from minface.surface import as_pair, get_data
 from minface.verify import (CheckResult, check_curvature_routes,
                             check_duality, check_energy_gauge,
                             check_identities, check_kappa_zero_locus,
@@ -34,6 +32,10 @@ from minface.verify import (CheckResult, check_curvature_routes,
                             make_accumulation_data, make_random_poly_data,
                             sample_regular_points)
 
+import curvature_reference as ref
+from curvature_reference import (reference_angle_rate_sign,
+                                 reference_gaussian_curvature,
+                                 reference_sign_prediction)
 from singular_reference import (reference_duality, reference_identities,
                                 reference_kappa_zero_locus)
 
@@ -106,9 +108,9 @@ def reference_curvature_routes(surf, n=1000, seed=0, h=1e-3, rtol_pair=1e-9,
     skipped = 0
     for (u, v) in pts:
         try:
-            kc = gaussian_curvature(surf, u, v, method="closed")
-            ke = gaussian_curvature(surf, u, v, method="extrinsic")
-            ki = gaussian_curvature(surf, u, v, method="intrinsic", h=h)
+            kc = reference_gaussian_curvature(surf, u, v, "closed")
+            ke = reference_gaussian_curvature(surf, u, v, "extrinsic")
+            ki = reference_gaussian_curvature(surf, u, v, "intrinsic", h)
         except (SingularPoint, SingularNeighborhood):
             skipped += 1
             continue
@@ -127,10 +129,11 @@ def reference_minimality(surf, n=1000, seed=0, tol=1e-10):
     pts = reference_sampler(surf, n, rng, nonflat=False)
     worst = 0.0
     for (u, v) in pts:
-        try:
-            worst = max(worst, abs(mean_curvature_residual(surf, u, v)))
-        except SingularPoint:
+        # mean_curvature_residual on the scalar surface jet
+        sj = ref.reference_jets_at(surf, u, v, with_position=False)
+        if sj.nu is None or sj.Lambda == 0.0:
             continue
+        worst = max(worst, abs(2.0 * mdot(sj.f_uv, sj.nu) / sj.Lambda))
     return CheckResult("minimality", worst < tol and bool(pts), worst,
                        len(pts))
 
@@ -141,8 +144,8 @@ def reference_sign_theorem(surf, n=200, seed=0):
     bad = 0
     for (u, v) in pts:
         try:
-            k = gaussian_curvature(surf, u, v)
-            pred = sign_prediction(surf, u, v)
+            k = reference_gaussian_curvature(surf, u, v)
+            pred = reference_sign_prediction(surf, u, v)
         except (SingularPoint, FlatPoint):
             continue
         if k == 0.0 or (k > 0) != (pred > 0):
@@ -157,7 +160,7 @@ def reference_milnor(surf, n=100, seed=0):
     bad = 0
     for (u, v) in pts:
         try:
-            if not milnor_sign_check(surf, u, v):
+            if not ref.reference_milnor_sign_check(surf, u, v):
                 bad += 1
         except (SingularPoint, FlatPoint, DegenerateAtPoint):
             continue
@@ -171,9 +174,9 @@ def reference_energy_gauge(surf, n=50, seed=0, tol=1e-8):
     worst = 0.0
     for (u, v) in pts:
         try:
-            k = gaussian_curvature(surf, u, v)
-            e = energy_gauge(surf, u, v)
-            pred = sign_prediction(surf, u, v)
+            k = reference_gaussian_curvature(surf, u, v)
+            e = ref.reference_energy_gauge(surf, u, v)
+            pred = reference_sign_prediction(surf, u, v)
         except (SingularPoint, FlatPoint, DegenerateAtPoint):
             continue
         worst = max(worst, abs(k * e * e - pred))
@@ -293,6 +296,7 @@ def test_sampler_draws_at_most_80_n_candidates(n):
 # ce-quasiumbilic: u (1 + v^2) = 1), within a finite-difference step of it,
 # and on flat lines (ce-quasiumbilic: v = 0; kchange: u = 0 or v = 0)
 EXTRA_POINTS = {"enneper": [(1.0, -1.0), (-2.0, 0.5), (1.0005, -1.0)],
+                "enneper-conj": [(1.0, -1.0), (-2.0, 0.5), (1.0005, -1.0)],
                 "ce-quasiumbilic": [(0.5, 0.0), (0.5, 1.0), (0.5004, 1.0)],
                 "kchange": [(0.0, 0.7), (0.3, 0.0), (0.0, 0.0)]}
 
@@ -324,20 +328,22 @@ def test_array_helpers_equal_per_point_functions(name):
     sing = (SingularPoint, SingularNeighborhood)
     flat = (SingularPoint, FlatPoint, DegenerateAtPoint)
     _assert_same(*closed_k_samples(su, sv), pts,
-                 lambda u, v: gaussian_curvature(surf, u, v), sing)
+                 lambda u, v: reference_gaussian_curvature(surf, u, v), sing)
     _assert_same(*extrinsic_k_samples(su, sv), pts,
-                 lambda u, v: gaussian_curvature(surf, u, v, "extrinsic"),
+                 lambda u, v: reference_gaussian_curvature(surf, u, v,
+                                                           "extrinsic"),
                  sing)
     _assert_same(*intrinsic_k_samples(su, sv, 1e-3), pts,
-                 lambda u, v: gaussian_curvature(surf, u, v, "intrinsic"),
+                 lambda u, v: reference_gaussian_curvature(surf, u, v,
+                                                           "intrinsic"),
                  sing)
     _assert_same(*sign_prediction_samples(su, sv), pts,
-                 lambda u, v: sign_prediction(surf, u, v), flat)
+                 lambda u, v: reference_sign_prediction(surf, u, v), flat)
     for axis, s in (("u", su), ("v", sv)):
         at = (lambda u, v: u) if axis == "u" else (lambda u, v: v)
         _assert_same(*s.winding_sign(), pts,
-                     lambda u, v: _angle_rate_sign(axis_curve(surf, axis),
-                                                   at(u, v), 1e-5), flat)
+                     lambda u, v: reference_angle_rate_sign(
+                         axis_curve(surf, axis), at(u, v)), flat)
         _assert_same(*s.gauge_rate(), pts,
                      lambda u, v: reparametrize(surf, axis, at(u, v)).t_s,
                      flat)

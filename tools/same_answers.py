@@ -16,7 +16,12 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
   and the CSV;
 * then ``classify --u=U --v=V``: stdout, at the first, middle and last
   points of PARENT_REV's ``singular`` CSV of each surface that has one
-  (``%.17g`` round-trips, so both trees classify the same points).
+  (``%.17g`` round-trips, so both trees classify the same points);
+* then ``curvature --method M --u=U --v=V`` for M in closed, extrinsic and
+  intrinsic: stdout, stderr and exit code, at the domain centre, at the
+  point a quarter of the way along both axes, and at the first point of
+  PARENT_REV's ``singular`` CSV where it has one (there every route exits
+  on ``SingularPoint``).
 
 Each tree's commands run in one interpreter per round, through
 ``minface.cli.main``, with stdout, stderr and the exit code recorded per
@@ -100,6 +105,26 @@ def classify_jobs(spec_dir: Path, csv_dir: Path):
     return out
 
 
+def curvature_jobs(spec_dir: Path, csv_dir: Path):
+    """(output stem, CLI argv) of the curvature runs: every method at the
+    domain centre, the quarter point and the first singular CSV point."""
+    out = []
+    for name, doc in specs():
+        (u0, u1), (v0, v1) = doc["domain"]["u"], doc["domain"]["v"]
+        points = [(repr(0.5 * (u0 + u1)), repr(0.5 * (v0 + v1))),
+                  (repr(u0 + 0.25 * (u1 - u0)), repr(v0 + 0.25 * (v1 - v0)))]
+        path = csv_dir / f"{name}.singular.csv"
+        rows = path.read_text().splitlines()[1:] if path.exists() else []
+        points += [tuple(rows[0].split(",")[:2])] if rows else []
+        for k, (u, v) in enumerate(points):
+            for method in ("closed", "extrinsic", "intrinsic"):
+                out.append((f"{name}.curvature{k}.{method}",
+                            ["curvature", "--spec",
+                             str(spec_dir / f"{name}.json"),
+                             "--method", method, f"--u={u}", f"--v={v}"]))
+    return out
+
+
 def run_round(tmp: Path, label: str, job_list) -> None:
     """Runs job_list in both trees at once, into tmp/out-<tree>."""
     (tmp / f"{label}.json").write_text(json.dumps(job_list))
@@ -137,6 +162,7 @@ def main(argv) -> int:
         try:
             run_round(tmp, "jobs", jobs(spec_dir))
             run_round(tmp, "classify", classify_jobs(spec_dir, a))
+            run_round(tmp, "curvature", curvature_jobs(spec_dir, a))
         except RuntimeError as err:
             print(err, file=sys.stderr)
             return 2
