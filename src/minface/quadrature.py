@@ -12,21 +12,54 @@ returning.
 Surface evaluation integrates the same two curve derivatives again and again
 from a fixed base parameter, so PrefixIntegral caches cumulative integrals at
 a ladder of node points: a query only ever integrates the short tail from the
-nearest cached node.
+nearest cached node. The ladder is built from one array evaluation of the
+Gauss nodes of all its segments (in chunks of at most _CHUNK points), with
+the first level of ``adaptive_quad`` run as vector operations in its own
+order, so every segment gets the same bits as ``adaptive_quad`` gives it;
+only segments that fail the first-level test run ``adaptive_quad`` itself.
+Queries take parameter arrays and batch their tails of nonzero length the
+same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import MinfaceError, QuadratureError
 
 # An interval is also accepted when its error estimate is at most this share
 # of its own integral estimate (needed where the integrand is large).
 REL_TOL = 1e-12
 
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X20, _W20 = np.polynomial.legendre.leggauss(20)
+
+def _gauss_legendre(nodes, weights):
+    """Both halves of a symmetric rule from its positive nodes (ascending)."""
+    return (np.array([-x for x in reversed(nodes)] + nodes),
+            np.array(weights[::-1] + weights))
+
+
+# The bits np.polynomial.legendre.leggauss(10) and (20) return (a test pins
+# them). Stored, not computed: leggauss calls LAPACK, and that first call
+# alone adds about 0.7 MB to the resident size of a process that makes no
+# other.
+_X10, _W10 = _gauss_legendre(
+    [0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+     0.8650633666889845, 0.9739065285171717],
+    [0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+     0.1494513491505804, 0.06667134430868814])
+_X20, _W20 = _gauss_legendre(
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+     0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+     0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+     0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+     0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+     0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+     0.017614007139150893])
+_XS = np.concatenate([_X10, _X20])
+# Most points handed to an array integrand in one call: the integrand may
+# build per-point temporaries, so this bounds their size.
+_CHUNK = 1024
 
 
 def _rule(fn, a: float, b: float, xs, ws):
@@ -78,15 +111,32 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
     return sign * acc
 
 
+def _weighted(vals, ws):
+    """_rule's accumulation over axis 1 of vals, in its order."""
+    acc = ws[0] * vals[:, 0]
+    for k in range(1, len(ws)):
+        acc = acc + ws[k] * vals[:, k]
+    return acc
+
+
 class PrefixIntegral:
-    """Cached cumulative integral t -> int_{t0}^{t} fn, fn vector-valued."""
+    """Cached cumulative integral t -> int_{t0}^{t} fn, fn vector-valued.
+
+    ``fn_array(ts)`` returns fn at every point of a 1-D array ts, stacked
+    along a leading axis, each row bit-identical to fn at that point; by
+    default it calls fn point by point. A query takes a float or an array
+    of parameters and returns one integral per parameter, each equal bit
+    for bit to the scalar ``adaptive_quad`` march it replaces.
+    """
 
     def __init__(self, fn, t0: float, lo: float, hi: float, n_cache: int = 256,
-                 abs_tol: float = 1e-12):
+                 abs_tol: float = 1e-12, fn_array=None):
         if not (lo <= t0 <= hi):
             # Allow a base outside the declared window by widening it.
             lo, hi = min(lo, t0), max(hi, t0)
         self.fn = fn
+        self.fn_array = fn_array or (lambda ts: np.array(
+            [np.asarray(fn(t), dtype=float) for t in ts]))
         self.t0 = float(t0)
         self.abs_tol = abs_tol
         nodes = np.linspace(lo, hi, n_cache + 1)
@@ -96,27 +146,82 @@ class PrefixIntegral:
         self.nodes = nodes
         self._cum = None
 
+    def _march(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """adaptive_quad(fn, a[k], b[k]) for every k in order, as rows."""
+        return np.array([adaptive_quad(self.fn, x, y, self.abs_tol)
+                         for x, y in zip(a, b)]).reshape(len(a), -1)
+
+    def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """adaptive_quad(fn, a[k], b[k]) for every k (a[k] != b[k]), as rows.
+
+        The first level of every interval is evaluated in batches and
+        tested as adaptive_quad tests it; intervals that fail rerun
+        adaptive_quad itself, in order. Any MinfaceError of the batched
+        evaluation reruns adaptive_quad on every interval in order, so the
+        error raised is the one the scalar loop raises.
+        """
+        try:
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            per = _CHUNK // len(_XS)
+            coarse, fine = [], []
+            for s in range(0, len(a), per):
+                h = half[s:s + per, None]
+                ts = mid[s:s + per, None] + h * _XS
+                vals = np.asarray(self.fn_array(ts.ravel()), dtype=float)
+                vals = vals.reshape(ts.shape + (-1,))
+                coarse.append(h * _weighted(vals[:, :len(_X10)], _W10))
+                fine.append(h * _weighted(vals[:, len(_X10):], _W20))
+        except MinfaceError:
+            return self._march(a, b)
+        coarse, fine = np.concatenate(coarse), np.concatenate(fine)
+        err = np.max(np.abs(fine - coarse), axis=1)
+        width = hi - lo
+        budget = self.abs_tol * width / width
+        ok = ((err <= np.maximum(budget, 1e-300)) | (width < 1e-14 * width)
+              | (err <= REL_TOL * np.max(np.abs(fine), axis=1)))
+        out = np.where(b < a, -1.0, 1.0)[:, None] * fine
+        for k in np.flatnonzero(~ok):
+            out[k] = adaptive_quad(self.fn, a[k], b[k], self.abs_tol)
+        return out
+
     def _build(self):
         probe = np.asarray(self.fn(self.t0), dtype=float)
-        cum = np.zeros((len(self.nodes),) + probe.shape)
-        i0 = int(np.argmin(np.abs(self.nodes - self.t0)))
-        # March outward from the base so each segment is integrated once.
-        for i in range(i0 + 1, len(self.nodes)):
-            cum[i] = cum[i - 1] + adaptive_quad(
-                self.fn, self.nodes[i - 1], self.nodes[i], self.abs_tol)
-        for i in range(i0 - 1, -1, -1):
-            cum[i] = cum[i + 1] + adaptive_quad(
-                self.fn, self.nodes[i + 1], self.nodes[i], self.abs_tol)
-        self._cum = cum
+        nodes = self.nodes
+        i0 = int(np.argmin(np.abs(nodes - self.t0)))
+        # March outward from the base so each segment is integrated once:
+        # up the ladder, then down it.
+        up, down = np.arange(i0, len(nodes) - 1), np.arange(i0 - 1, -1, -1)
+        segs = self._integrals(np.concatenate([nodes[up], nodes[down + 1]]),
+                               np.concatenate([nodes[up + 1], nodes[down]]))
+        base = np.zeros((1, probe.size))
+        # add.accumulate adds in sequence, as the march did
+        cum_up = np.add.accumulate(np.concatenate([base, segs[:len(up)]]))
+        cum_down = np.add.accumulate(np.concatenate([base, segs[len(up):]]))
+        self._cum = np.concatenate([cum_down[:0:-1], cum_up]).reshape(
+            (len(nodes),) + probe.shape)
 
-    def __call__(self, t: float):
+    def __call__(self, t):
         if self._cum is None:
             self._build()
-        t = float(t)
-        i = int(np.clip(np.searchsorted(self.nodes, t) - 1, 0,
-                        len(self.nodes) - 2))
+        ts = np.asarray(t, dtype=float)
+        flat, nodes = ts.ravel(), self.nodes
+        i = np.clip(np.searchsorted(nodes, flat) - 1, 0, len(nodes) - 2)
         # Integrate only the short tail from the nearest node at or below t.
-        if abs(t - self.nodes[i + 1]) < abs(t - self.nodes[i]):
-            i = i + 1
-        tail = adaptive_quad(self.fn, self.nodes[i], t, self.abs_tol)
-        return self._cum[i] + tail
+        i = np.where(np.abs(flat - nodes[i + 1]) < np.abs(flat - nodes[i]),
+                     i + 1, i)
+        a = nodes[i]
+        zero = a == flat
+        shape = self._cum.shape[1:]
+        tail = np.empty((len(flat), self._cum[0].size))
+        try:
+            # a zero-length tail is fn(a) * 0.0, as adaptive_quad makes it
+            for k in np.flatnonzero(zero):
+                tail[k] = np.asarray(self.fn(a[k]), dtype=float) * 0.0
+        except MinfaceError:
+            tail = self._march(a, flat)
+        else:
+            if not zero.all():
+                tail[~zero] = self._integrals(a[~zero], flat[~zero])
+        tail = tail.reshape((len(flat),) + shape)
+        return (self._cum[i] + tail).reshape(ts.shape + shape)

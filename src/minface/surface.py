@@ -194,36 +194,39 @@ class NullCurvePair:
         j = self.psi_prime(v)
         return vec3(j[0].value, j[1].value, j[2].value)
 
-    def phi_delta(self, u: float) -> np.ndarray:
-        """Integral of phi' from the base u to u."""
+    def phi_delta(self, u) -> np.ndarray:
+        """Integral of phi' from the base u to u (a float or an array)."""
         if self.phi_position is not None:
             return self.phi_position(u) - self.phi_position(self.base[0])
         if self._phi_prefix is None:
             self._phi_prefix = PrefixIntegral(
                 _values(self.phi_prime), self.base[0], self.domain.u_min,
-                self.domain.u_max, abs_tol=QUAD_TOL)
+                self.domain.u_max, abs_tol=QUAD_TOL,
+                fn_array=_values(self.phi_prime_array))
         return self._phi_prefix(u)
 
-    def psi_delta(self, v: float) -> np.ndarray:
+    def psi_delta(self, v) -> np.ndarray:
         if self.psi_position is not None:
             return self.psi_position(v) - self.psi_position(self.base[1])
         if self._psi_prefix is None:
             self._psi_prefix = PrefixIntegral(
                 _values(self.psi_prime), self.base[1], self.domain.v_min,
-                self.domain.v_max, abs_tol=QUAD_TOL)
+                self.domain.v_max, abs_tol=QUAD_TOL,
+                fn_array=_values(self.psi_prime_array))
         return self._psi_prefix(v)
 
 
-def _values(prime: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
-    """t -> the value vector of prime(t).
+def _values(prime: Callable) -> Callable:
+    """t -> the value vectors of prime(t), stacked on a trailing axis.
 
-    The integrand of a pair's prefix integrals: it holds the jet function,
-    not the pair that holds the prefix, so the two form no reference cycle.
+    The integrands of a pair's prefix integrals, from the scalar or the
+    array jets: they hold the jet function, not the pair that holds the
+    prefix, so the two form no reference cycle.
     """
 
-    def value(t: float) -> np.ndarray:
+    def value(t) -> np.ndarray:
         j = prime(t)
-        return vec3(j[0].value, j[1].value, j[2].value)
+        return np.stack([j[0].value, j[1].value, j[2].value], axis=-1)
 
     return value
 
@@ -315,7 +318,8 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
     """Raw-curve mode: three position expressions per curve.
 
     The velocities must be Lorentzian null and nonvanishing; probed on 64
-    points per axis. f0 defaults to the true position (phi + psi)/2 at the
+    points per axis, and an error names the first failing point in
+    ascending order. f0 defaults to the true position (phi + psi)/2 at the
     base parameters so evaluate() agrees with the position expressions.
     """
     phi = [e if isinstance(e, Expression) else parse(e) for e in phi_exprs]
@@ -328,11 +332,7 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
             raise InvalidCurveData(
                 f"{side}-side curve components disagree on the variable name")
 
-    def phi_position(u: float) -> np.ndarray:
-        return vec3(*(eval_value(e, u) for e in phi))
-
-    def psi_position(v: float) -> np.ndarray:
-        return vec3(*(eval_value(e, v) for e in psi))
+    phi_position, psi_position = _position(phi), _position(psi)
 
     def phi_prime(u: float):
         return tuple(shift_derivative(eval_jet(e, lift_variable(u)))
@@ -348,19 +348,21 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
     def psi_prime_array(vs):
         return tuple(shift_derivative(eval_array(e, vs)) for e in psi)
 
-    for name, fn, grid in (("phi", phi_prime, domain.u_grid(_VALIDATION_GRID)),
-                           ("psi", psi_prime, domain.v_grid(_VALIDATION_GRID))):
-        for t in grid:
-            j = fn(t)
-            vel = vec3(j[0].value, j[1].value, j[2].value)
-            speed2 = float(vel @ vel)
-            if speed2 == 0.0:
-                raise InvalidCurveData(
-                    f"{name}' vanishes at parameter {t!r}")
-            if abs(mdot(vel, vel)) > null_tol * max(1.0, speed2):
-                raise InvalidCurveData(
-                    f"{name}' is not null at parameter {t!r}: "
-                    f"<v,v> = {mdot(vel, vel)!r}")
+    for name, prime, grid in (
+            ("phi", phi_prime_array, domain.u_grid(_VALIDATION_GRID)),
+            ("psi", psi_prime_array, domain.v_grid(_VALIDATION_GRID))):
+        vel = _values(prime)(grid)
+        speed2 = np.sum(vel * vel, axis=-1)
+        q = mdot(vel, vel)
+        vanishes = speed2 == 0.0
+        bad = vanishes | (np.abs(q) > null_tol * np.maximum(1.0, speed2))
+        if bad.any():
+            k = int(np.argmax(bad))
+            t = float(grid[k])
+            if vanishes[k]:
+                raise InvalidCurveData(f"{name}' vanishes at parameter {t!r}")
+            raise InvalidCurveData(f"{name}' is not null at parameter {t!r}: "
+                                   f"<v,v> = {float(q[k])!r}")
 
     base = (float(base[0]), float(base[1]))
     if f0 is None:
@@ -370,6 +372,23 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
                          np.asarray(f0, dtype=float), source="curves",
                          prime_order=2, phi_position=phi_position,
                          psi_position=psi_position)
+
+
+def _position(exprs) -> Callable:
+    """t (a float or an array) -> the values of the three expressions at t,
+    on a trailing axis.
+
+    Evaluated point by point: a mesh evaluates the expressions' array jets
+    on its grid axes for the velocities, and no expression is evaluated
+    twice on one parameter array.
+    """
+
+    def position(t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        return np.array([[eval_value(e, x) for e in exprs]
+                         for x in ts.ravel().tolist()]).reshape(ts.shape + (3,))
+
+    return position
 
 
 @dataclass(frozen=True)

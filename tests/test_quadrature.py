@@ -1,14 +1,30 @@
 """Adaptive quadrature and prefix integrals against closed forms."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minface.errors import QuadratureError
+from minface import gallery, quadrature
+from minface.errors import (DivisionByZero, DomainError, MinfaceError,
+                            QuadratureError)
+from minface.expr import eval_array, eval_value, parse
 from minface.quadrature import PrefixIntegral, adaptive_quad
+from minface.surface import QUAD_TOL, _values, as_pair, surface_from_dict
 
 from oracles import quad as mp_quad
+from quadrature_reference import ReferencePrefixIntegral
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_gauss_legendre_tables_are_leggauss_bit_for_bit(n):
+    xs, ws = {10: (quadrature._X10, quadrature._W10),
+              20: (quadrature._X20, quadrature._W20)}[n]
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert xs.tobytes() == want_x.tobytes()
+    assert ws.tobytes() == want_w.tobytes()
 
 
 def test_polynomial_exact():
@@ -88,3 +104,208 @@ def test_prefix_integral_is_additive():
     pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, abs_tol=1e-12)
     want = math.exp(0.75) - 1.0
     assert pre(0.75)[0] == pytest.approx(want, abs=1e-11)
+
+
+# --- the batched ladder against the scalar march ---------------------------
+
+
+def _spec_surface(kind, seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import specgen
+    finally:
+        sys.path.pop(0)
+    return surface_from_dict(specgen.make_spec(kind, seed, 0, 0).doc)
+
+
+def _same(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_queries_equal(pre, ref, lo, hi, rng, n):
+    """Array, 0-d and float queries of pre equal ref's, bit for bit."""
+    ts = np.concatenate([np.linspace(lo, hi, n), rng.uniform(lo, hi, 4),
+                         ref.nodes[[0, 1, -1]], [pre.t0]])
+    want = np.array([ref(t) for t in ts])
+    _same(pre(ts), want)
+    m = len(ts) // 2
+    _same(pre(ts[:2 * m].reshape(2, m)),
+          want[:2 * m].reshape((2, m) + want.shape[1:]))
+    _same(pre(float(ts[1])), want[1])
+    _same(pre(np.float64(ts[2])), want[2])
+    _same(pre._cum, ref._cum)
+
+
+@pytest.mark.parametrize("name", ["enneper", "enneper-conj",
+                                  "ce-quasiumbilic"])
+def test_pair_prefixes_equal_the_scalar_march(name, rng):
+    pair = as_pair(gallery.get(name))
+    dom = pair.domain
+    for delta, prime, t0, lo, hi in (
+            (pair.phi_delta, pair.phi_prime, pair.base[0], dom.u_min,
+             dom.u_max),
+            (pair.psi_delta, pair.psi_prime, pair.base[1], dom.v_min,
+             dom.v_max)):
+        ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi,
+                                      abs_tol=QUAD_TOL)
+        ts = np.linspace(lo, hi, 25)
+        _same(delta(ts), np.array([ref(t) for t in ts]))
+        _assert_queries_equal(delta.__self__._phi_prefix if delta.__name__
+                              == "phi_delta" else
+                              delta.__self__._psi_prefix, ref, lo, hi, rng, 9)
+
+
+@pytest.mark.parametrize("kind", ["poly", "cross", "regular"])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_ladder_equals_the_scalar_march_on_generated_data(kind, seed,
+                                                                  rng):
+    # 36 segments or 37: a full chunk of 34 and a short one
+    pair = as_pair(_spec_surface(kind, seed))
+    dom = pair.domain
+    for prime, array, t0, lo, hi in (
+            (pair.phi_prime, pair.phi_prime_array, pair.base[0], dom.u_min,
+             dom.u_max),
+            (pair.psi_prime, pair.psi_prime_array, pair.base[1], dom.v_min,
+             dom.v_max)):
+        pre = PrefixIntegral(_values(prime), t0, lo, hi, n_cache=36,
+                             abs_tol=QUAD_TOL, fn_array=_values(array))
+        ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi, n_cache=36,
+                                      abs_tol=QUAD_TOL)
+        _assert_queries_equal(pre, ref, lo, hi, rng, 7)
+
+
+def test_float_valued_integrand_equals_the_scalar_march(rng):
+    pre = PrefixIntegral(math.exp, 0.1, -1.0, 2.0, n_cache=50)
+    ref = ReferencePrefixIntegral(math.exp, 0.1, -1.0, 2.0, n_cache=50)
+    _assert_queries_equal(pre, ref, -1.0, 2.0, rng, 13)
+    assert pre(0.7).shape == ()
+
+
+def _peak(t):
+    # narrow peaks at 0.3 and -0.6
+    return np.array([1.0 / (1e-6 + (t - 0.3) ** 2), math.cos(t),
+                     1.0 / (1e-6 + (t + 0.6) ** 2)])
+
+
+def _peak_array(ts):
+    return np.stack([1.0 / (1e-6 + (ts - 0.3) ** 2), np.cos(ts),
+                     1.0 / (1e-6 + (ts + 0.6) ** 2)], axis=-1)
+
+
+def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
+                                                              rng):
+    calls = []
+
+    def counted(fn, a, b, *args):
+        calls.append((a, b))
+        return adaptive_quad(fn, a, b, *args)
+
+    monkeypatch.setattr(quadrature, "adaptive_quad", counted)
+    pre = PrefixIntegral(_peak, 0.0, -1.0, 1.0, fn_array=_peak_array)
+    ref = ReferencePrefixIntegral(_peak, 0.0, -1.0, 1.0)
+    pre(0.0)
+    # only the segments near the peaks fall back, in march order: up the
+    # ladder from the base, then down it
+    assert 0 < len(calls) < 40
+    ups = [a < b for a, b in calls]
+    assert ups == sorted(ups, reverse=True) and any(ups) and not all(ups)
+    assert [a for a, b in calls] == sorted(a for a, b in calls if a < b) + \
+        sorted((a for a, b in calls if a > b), reverse=True)
+    _assert_queries_equal(pre, ref, -1.0, 1.0, rng, 25)
+    calls.clear()
+    _same(pre(np.array([0.2999, 0.3001])),
+          np.array([ref(0.2999), ref(0.3001)]))
+    assert len(calls) == 2
+
+
+def test_chunks_hold_at_most_1024_points():
+    sizes = []
+
+    def array(ts):
+        sizes.append(len(ts))
+        return np.stack([np.sin(ts), np.exp(ts)], axis=-1)
+
+    fn = lambda t: np.array([math.sin(t), math.exp(t)])
+    pre = PrefixIntegral(fn, 0.0, -1.0, 2.0, fn_array=array)
+    ts = np.random.default_rng(3).uniform(-1.0, 2.0, 5000)
+    got = pre(ts)
+    assert max(sizes) <= 1024
+    assert sum(sizes) == 30 * (len(pre.nodes) - 1 + 5000)
+    ref = ReferencePrefixIntegral(fn, 0.0, -1.0, 2.0)
+    _same(got[:50], np.array([ref(t) for t in ts[:50]]))
+
+
+def _failing_pair():
+    # the scalar path fails first on log (at u >= 0.75), the array path,
+    # which evaluates sqrt on every point first, on sqrt (at u > 0.76)
+    e_log, e_sqrt = parse("log(0.75 - u)"), parse("sqrt(0.76 - u)")
+
+    def fn(t):
+        return np.array([eval_value(e_sqrt, t), eval_value(e_log, t)])
+
+    def array(ts):
+        return np.stack([eval_array(e_sqrt, ts).value,
+                         eval_array(e_log, ts).value], axis=-1)
+
+    return fn, array
+
+
+def _error(call):
+    with pytest.raises(MinfaceError) as exc:
+        call()
+    err = exc.value
+    return type(err), str(err), getattr(err, "span", None)
+
+
+def test_evaluation_error_is_the_scalar_marchs():
+    fn, array = _failing_pair()
+    # on its own, the array integrand names a different error
+    points = np.linspace(0.74, 0.77, 31)
+    assert _error(lambda: array(points)) != _error(
+        lambda: [fn(t) for t in points])
+    want = _error(lambda: ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0)(0.0))
+    assert want[0] is DomainError and "log" in want[1]
+    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, fn_array=array)
+    assert _error(lambda: pre(0.0)) == want
+    # queries too: the first failing query of the array, in order
+    fn2, array2 = _failing_pair()
+    pre = PrefixIntegral(fn2, 0.0, -1.0, 0.7, fn_array=array2)
+    ref = ReferencePrefixIntegral(fn2, 0.0, -1.0, 0.7)
+    ts = np.array([0.1, 0.755, 0.77, 0.9])
+    want = _error(lambda: [ref(t) for t in ts])
+    assert _error(lambda: pre(ts)) == want
+
+
+def test_query_errors_come_in_query_order():
+    # 0.0 is a ladder node, so its tail has zero length and is evaluated
+    # apart from the tail of 0.7, which fails first in query order
+    def fn(t):
+        if t == 0.0:
+            raise DivisionByZero(span=(0, 1))
+        if t > 0.6:
+            raise DomainError("sqrt", float(t), span=(2, 3))
+        return np.array([t, 1.0])
+
+    def array(ts):
+        if (ts == 0.0).any():
+            raise DivisionByZero(span=(0, 1))
+        return np.array([fn(t) for t in ts])
+
+    pre = PrefixIntegral(fn, 0.25, -0.5, 0.5, fn_array=array)
+    ref = ReferencePrefixIntegral(fn, 0.25, -0.5, 0.5)
+    assert 0.0 in pre.nodes
+    want = _error(lambda: [ref(t) for t in (0.7, 0.0)])
+    assert want[0] is DomainError
+    assert _error(lambda: pre(np.array([0.7, 0.0]))) == want
+
+
+def test_quadrature_error_names_the_scalar_marchs_interval():
+    def fn(t):
+        return math.sin(1.0 / (t - 0.4321))
+
+    with pytest.raises(QuadratureError) as want:
+        ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0, n_cache=16)(0.0)
+    with pytest.raises(QuadratureError) as got:
+        PrefixIntegral(fn, 0.0, -1.0, 1.0, n_cache=16)(0.0)
+    assert got.value.interval == want.value.interval
+    assert str(got.value) == str(want.value)

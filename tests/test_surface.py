@@ -164,6 +164,33 @@ def test_curve_mode_rejects_vanishing_velocity():
             ("u^2/2", "u^2/2", "0"), ("v", "v", "0"), Rect(0, 2, -1, 1))
 
 
+@pytest.mark.parametrize("phi, domain, message", [
+    (("u", "2*u", "0"), Rect(-1, 1, -1, 1),
+     "phi' is not null at parameter -1.0: <v,v> = 3.0"),
+    # null at u = 0 only: the first failing grid point is the second
+    (("u", "u", "u^2"), Rect(0, 1, -1, 1),
+     "phi' is not null at parameter %r: <v,v> = "
+     % np.linspace(0, 1, 64)[1].item()),
+    # at u = 0 it vanishes (and is null); further on it is not null
+    (("u^2/2", "u^2", "0"), Rect(0, 2, -1, 1),
+     "phi' vanishes at parameter 0.0"),
+])
+def test_curve_mode_names_the_first_failing_point_as_a_float(phi, domain,
+                                                             message):
+    with pytest.raises(InvalidCurveData) as exc:
+        pair_from_position_expressions(phi, ("v", "v", "0"), domain)
+    assert str(exc.value).startswith(message)
+    assert "np.float64" not in str(exc.value)
+
+
+def test_curve_mode_checks_psi_after_phi():
+    with pytest.raises(InvalidCurveData) as exc:
+        pair_from_position_expressions(("u", "u", "0"), ("v", "0", "v/2"),
+                                       Rect(-1, 1, -1, 1))
+    assert str(exc.value) == "psi' is not null at parameter -1.0: " \
+        "<v,v> = -0.75"
+
+
 def test_curve_mode_position_matches_expressions(kchange, rng):
     pair = as_pair(kchange)
     for _ in range(20):

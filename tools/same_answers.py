@@ -12,8 +12,10 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
 
 * ``verify --seed 0``: stdout;
 * ``singular --grid 512``: the CSV and stdout;
-* ``sample --nu 32 --nv 32 --fields`` and ``sample --nu 64 --nv 64``: the OBJ
-  and the CSV;
+* ``sample --fields`` at 32x32, 64x64, 24x20 and 2x2: the OBJ and the CSV
+  (at 32x32, 64x64 and 2x2 every grid point lies on a node of the position
+  integrals' ladder; at 24x20 most do not, so the tail integrals are
+  compared too);
 * then ``classify --u=U --v=V``: stdout, at the first, middle and last
   points of PARENT_REV's ``singular`` CSV of each surface that has one
   (``%.17g`` round-trips, so both trees classify the same points);
@@ -80,13 +82,12 @@ def jobs(spec_dir: Path):
             (f"{name}.verify", ["verify", "--spec", spec, "--seed", "0"]),
             (f"{name}.singular", ["singular", "--spec", spec, "--grid", "512",
                                   "--out", f"{name}.singular.csv"]),
-            (f"{name}.sample32", ["sample", "--spec", spec, "--nu", "32",
-                                  "--nv", "32", "--out", f"{name}.32.obj",
-                                  "--fields", f"{name}.32.csv"]),
-            (f"{name}.sample64", ["sample", "--spec", spec, "--nu", "64",
-                                  "--nv", "64", "--out", f"{name}.64.obj",
-                                  "--fields", f"{name}.64.csv"]),
         ]
+        out += [(f"{name}.sample{nu}x{nv}",
+                 ["sample", "--spec", spec, "--nu", str(nu), "--nv", str(nv),
+                  "--out", f"{name}.{nu}x{nv}.obj",
+                  "--fields", f"{name}.{nu}x{nv}.csv"])
+                for nu, nv in ((32, 32), (64, 64), (24, 20), (2, 2))]
     return out
 
 
