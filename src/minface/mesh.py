@@ -78,8 +78,9 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     pair = as_pair(d)
     us = pair.domain.u_grid(nu + 1)
     vs = pair.domain.v_grid(nv + 1)
-    # positions split into per-axis curve integrals: one query per axis
-    phi, psi = pair.phi_delta(us), pair.psi_delta(vs)
+    # positions split into per-axis curve integrals, so sample each axis once
+    phi = np.array([pair.phi_delta(u) for u in us])
+    psi = np.array([pair.psi_delta(v) for v in vs])
     positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
     params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
     su, sv = AxisSamples(d, "u", us[:, None]), AxisSamples(d, "v", vs[None, :])

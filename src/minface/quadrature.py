@@ -17,8 +17,6 @@ Gauss nodes of all its segments (in chunks of at most _CHUNK points), with
 the first level of ``adaptive_quad`` run as vector operations in its own
 order, so every segment gets the same bits as ``adaptive_quad`` gives it;
 only segments that fail the first-level test run ``adaptive_quad`` itself.
-Queries take parameter arrays and batch their tails of nonzero length the
-same way.
 """
 
 from __future__ import annotations
@@ -62,14 +60,33 @@ _XS = np.concatenate([_X10, _X20])
 _CHUNK = 1024
 
 
+def _weighted(vals, ws):
+    """A rule's weighted sum of vals over axis 0: w0*v0, then acc + wk*vk."""
+    acc = ws[0] * vals[0]
+    for k in range(1, len(ws)):
+        acc = acc + ws[k] * vals[k]
+    return acc
+
+
 def _rule(fn, a: float, b: float, xs, ws):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    acc = None
-    for x, w in zip(xs, ws):
-        val = np.asarray(fn(mid + half * x), dtype=float)
-        acc = w * val if acc is None else acc + w * val
-    return half * acc
+    vals = np.array([np.asarray(fn(mid + half * x), dtype=float) for x in xs])
+    return half * _weighted(vals, ws)
+
+
+def _accepted(coarse, fine, width, total_len, abs_tol):
+    """adaptive_quad's test of an interval, or of a stack of them.
+
+    width is the interval's width (or an array of them, one per leading row
+    of coarse and fine); returns whether it passes and its error estimate.
+    """
+    rows = np.shape(width) + (-1,)
+    err = np.max(np.abs(fine - coarse).reshape(rows), axis=-1)
+    scale = np.max(np.abs(fine).reshape(rows), axis=-1)
+    ok = ((err <= np.maximum(abs_tol * width / total_len, 1e-300))
+          | (width < 1e-14 * total_len) | (err <= REL_TOL * scale))
+    return ok, err
 
 
 def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
@@ -97,13 +114,12 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
         used += 1
         coarse = _rule(fn, lo, hi, _X10, _W10)
         fine = _rule(fn, lo, hi, _X20, _W20)
-        err = float(np.max(np.abs(fine - coarse)))
-        budget = abs_tol * (hi - lo) / total_len
-        if (err <= max(budget, 1e-300) or (hi - lo) < 1e-14 * total_len
-                or err <= REL_TOL * float(np.max(np.abs(fine)))):
+        ok, err = _accepted(coarse, fine, hi - lo, total_len, abs_tol)
+        if ok:
             acc = fine if acc is None else acc + fine
         elif used >= max_intervals:
-            raise QuadratureError((float(lo), float(hi)), fine.tolist(), err)
+            raise QuadratureError((float(lo), float(hi)), fine.tolist(),
+                                  float(err))
         else:
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid))
@@ -111,32 +127,21 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
     return sign * acc
 
 
-def _weighted(vals, ws):
-    """_rule's accumulation over axis 1 of vals, in its order."""
-    acc = ws[0] * vals[:, 0]
-    for k in range(1, len(ws)):
-        acc = acc + ws[k] * vals[:, k]
-    return acc
-
-
 class PrefixIntegral:
     """Cached cumulative integral t -> int_{t0}^{t} fn, fn vector-valued.
 
     ``fn_array(ts)`` returns fn at every point of a 1-D array ts, stacked
-    along a leading axis, each row bit-identical to fn at that point; by
-    default it calls fn point by point. A query takes a float or an array
-    of parameters and returns one integral per parameter, each equal bit
-    for bit to the scalar ``adaptive_quad`` march it replaces.
+    along a leading axis, each row bit-identical to fn at that point; the
+    ladder is built from it. A query takes one float.
     """
 
-    def __init__(self, fn, t0: float, lo: float, hi: float, n_cache: int = 256,
-                 abs_tol: float = 1e-12, fn_array=None):
+    def __init__(self, fn, t0: float, lo: float, hi: float, fn_array,
+                 n_cache: int = 256, abs_tol: float = 1e-12):
         if not (lo <= t0 <= hi):
             # Allow a base outside the declared window by widening it.
             lo, hi = min(lo, t0), max(hi, t0)
         self.fn = fn
-        self.fn_array = fn_array or (lambda ts: np.array(
-            [np.asarray(fn(t), dtype=float) for t in ts]))
+        self.fn_array = fn_array
         self.t0 = float(t0)
         self.abs_tol = abs_tol
         nodes = np.linspace(lo, hi, n_cache + 1)
@@ -146,40 +151,34 @@ class PrefixIntegral:
         self.nodes = nodes
         self._cum = None
 
-    def _march(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """adaptive_quad(fn, a[k], b[k]) for every k in order, as rows."""
-        return np.array([adaptive_quad(self.fn, x, y, self.abs_tol)
-                         for x, y in zip(a, b)]).reshape(len(a), -1)
+    def _segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """adaptive_quad(fn, a[k], b[k]) for every k, as rows.
 
-    def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """adaptive_quad(fn, a[k], b[k]) for every k (a[k] != b[k]), as rows.
-
-        The first level of every interval is evaluated in batches and
-        tested as adaptive_quad tests it; intervals that fail rerun
-        adaptive_quad itself, in order. Any MinfaceError of the batched
-        evaluation reruns adaptive_quad on every interval in order, so the
-        error raised is the one the scalar loop raises.
+        The first level of every segment is evaluated in batches of at most
+        _CHUNK points and tested as adaptive_quad tests it; segments that
+        fail rerun adaptive_quad itself, in order. Any MinfaceError of the
+        batched evaluation reruns adaptive_quad on every segment in order,
+        so the error raised is the one the scalar march raises.
         """
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        per = _CHUNK // len(_XS)
+        coarse, fine = [], []
         try:
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            per = _CHUNK // len(_XS)
-            coarse, fine = [], []
             for s in range(0, len(a), per):
-                h = half[s:s + per, None]
-                ts = mid[s:s + per, None] + h * _XS
+                h = half[s:s + per]
+                # node-major: row j holds Gauss point j of every segment
+                ts = mid[s:s + per] + h * _XS[:, None]
                 vals = np.asarray(self.fn_array(ts.ravel()), dtype=float)
                 vals = vals.reshape(ts.shape + (-1,))
-                coarse.append(h * _weighted(vals[:, :len(_X10)], _W10))
-                fine.append(h * _weighted(vals[:, len(_X10):], _W20))
+                coarse.append(h[:, None] * _weighted(vals[:len(_X10)], _W10))
+                fine.append(h[:, None] * _weighted(vals[len(_X10):], _W20))
         except MinfaceError:
-            return self._march(a, b)
+            return np.array([adaptive_quad(self.fn, x, y, self.abs_tol)
+                             for x, y in zip(a, b)]).reshape(len(a), -1)
         coarse, fine = np.concatenate(coarse), np.concatenate(fine)
-        err = np.max(np.abs(fine - coarse), axis=1)
         width = hi - lo
-        budget = self.abs_tol * width / width
-        ok = ((err <= np.maximum(budget, 1e-300)) | (width < 1e-14 * width)
-              | (err <= REL_TOL * np.max(np.abs(fine), axis=1)))
+        ok, _ = _accepted(coarse, fine, width, width, self.abs_tol)
         out = np.where(b < a, -1.0, 1.0)[:, None] * fine
         for k in np.flatnonzero(~ok):
             out[k] = adaptive_quad(self.fn, a[k], b[k], self.abs_tol)
@@ -192,8 +191,8 @@ class PrefixIntegral:
         # March outward from the base so each segment is integrated once:
         # up the ladder, then down it.
         up, down = np.arange(i0, len(nodes) - 1), np.arange(i0 - 1, -1, -1)
-        segs = self._integrals(np.concatenate([nodes[up], nodes[down + 1]]),
-                               np.concatenate([nodes[up + 1], nodes[down]]))
+        segs = self._segments(np.concatenate([nodes[up], nodes[down + 1]]),
+                              np.concatenate([nodes[up + 1], nodes[down]]))
         base = np.zeros((1, probe.size))
         # add.accumulate adds in sequence, as the march did
         cum_up = np.add.accumulate(np.concatenate([base, segs[:len(up)]]))
@@ -201,27 +200,14 @@ class PrefixIntegral:
         self._cum = np.concatenate([cum_down[:0:-1], cum_up]).reshape(
             (len(nodes),) + probe.shape)
 
-    def __call__(self, t):
+    def __call__(self, t: float):
         if self._cum is None:
             self._build()
-        ts = np.asarray(t, dtype=float)
-        flat, nodes = ts.ravel(), self.nodes
-        i = np.clip(np.searchsorted(nodes, flat) - 1, 0, len(nodes) - 2)
+        t = float(t)
+        i = int(np.clip(np.searchsorted(self.nodes, t) - 1, 0,
+                        len(self.nodes) - 2))
         # Integrate only the short tail from the nearest node at or below t.
-        i = np.where(np.abs(flat - nodes[i + 1]) < np.abs(flat - nodes[i]),
-                     i + 1, i)
-        a = nodes[i]
-        zero = a == flat
-        shape = self._cum.shape[1:]
-        tail = np.empty((len(flat), self._cum[0].size))
-        try:
-            # a zero-length tail is fn(a) * 0.0, as adaptive_quad makes it
-            for k in np.flatnonzero(zero):
-                tail[k] = np.asarray(self.fn(a[k]), dtype=float) * 0.0
-        except MinfaceError:
-            tail = self._march(a, flat)
-        else:
-            if not zero.all():
-                tail[~zero] = self._integrals(a[~zero], flat[~zero])
-        tail = tail.reshape((len(flat),) + shape)
-        return (self._cum[i] + tail).reshape(ts.shape + shape)
+        if abs(t - self.nodes[i + 1]) < abs(t - self.nodes[i]):
+            i = i + 1
+        tail = adaptive_quad(self.fn, self.nodes[i], t, self.abs_tol)
+        return self._cum[i] + tail

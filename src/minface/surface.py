@@ -194,25 +194,25 @@ class NullCurvePair:
         j = self.psi_prime(v)
         return vec3(j[0].value, j[1].value, j[2].value)
 
-    def phi_delta(self, u) -> np.ndarray:
-        """Integral of phi' from the base u to u (a float or an array)."""
+    def phi_delta(self, u: float) -> np.ndarray:
+        """Integral of phi' from the base u to u."""
         if self.phi_position is not None:
             return self.phi_position(u) - self.phi_position(self.base[0])
         if self._phi_prefix is None:
             self._phi_prefix = PrefixIntegral(
                 _values(self.phi_prime), self.base[0], self.domain.u_min,
-                self.domain.u_max, abs_tol=QUAD_TOL,
-                fn_array=_values(self.phi_prime_array))
+                self.domain.u_max, _values(self.phi_prime_array),
+                abs_tol=QUAD_TOL)
         return self._phi_prefix(u)
 
-    def psi_delta(self, v) -> np.ndarray:
+    def psi_delta(self, v: float) -> np.ndarray:
         if self.psi_position is not None:
             return self.psi_position(v) - self.psi_position(self.base[1])
         if self._psi_prefix is None:
             self._psi_prefix = PrefixIntegral(
                 _values(self.psi_prime), self.base[1], self.domain.v_min,
-                self.domain.v_max, abs_tol=QUAD_TOL,
-                fn_array=_values(self.psi_prime_array))
+                self.domain.v_max, _values(self.psi_prime_array),
+                abs_tol=QUAD_TOL)
         return self._psi_prefix(v)
 
 
@@ -332,7 +332,11 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
             raise InvalidCurveData(
                 f"{side}-side curve components disagree on the variable name")
 
-    phi_position, psi_position = _position(phi), _position(psi)
+    def phi_position(u: float) -> np.ndarray:
+        return vec3(*(eval_value(e, u) for e in phi))
+
+    def psi_position(v: float) -> np.ndarray:
+        return vec3(*(eval_value(e, v) for e in psi))
 
     def phi_prime(u: float):
         return tuple(shift_derivative(eval_jet(e, lift_variable(u)))
@@ -372,23 +376,6 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
                          np.asarray(f0, dtype=float), source="curves",
                          prime_order=2, phi_position=phi_position,
                          psi_position=psi_position)
-
-
-def _position(exprs) -> Callable:
-    """t (a float or an array) -> the values of the three expressions at t,
-    on a trailing axis.
-
-    Evaluated point by point: a mesh evaluates the expressions' array jets
-    on its grid axes for the velocities, and no expression is evaluated
-    twice on one parameter array.
-    """
-
-    def position(t) -> np.ndarray:
-        ts = np.asarray(t, dtype=float)
-        return np.array([[eval_value(e, x) for e in exprs]
-                         for x in ts.ravel().tolist()]).reshape(ts.shape + (3,))
-
-    return position
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from minface.errors import SingularNeighborhood, SingularPoint
 from minface.lorentz import mdot
 from minface.mesh import (MESH_SINGULAR_TOL, export_fields_csv, export_obj,
                           sample_grid)
-from minface.surface import NullCurvePair, as_pair, get_data
+from minface.surface import as_pair, get_data
 from minface.verify import make_random_poly_data
 
 from curvature_reference import (reference_flat_classify,
@@ -135,18 +135,6 @@ def test_grid_matches_per_point_functions(name, size):
     _bit_identical(m.k_values, ref["k_values"])
     _bit_identical(m.area_density, ref["area_density"])
     assert all(type(x) is float for x in m.k_values if x is not None)
-
-
-@pytest.mark.parametrize("name", sorted(SURFACES))
-def test_positions_take_one_query_per_axis(name, monkeypatch):
-    calls = []
-    for attr in ("phi_delta", "psi_delta"):
-        def counted(pair, t, _attr=attr, _fn=getattr(NullCurvePair, attr)):
-            calls.append((_attr, np.shape(t)))
-            return _fn(pair, t)
-        monkeypatch.setattr(NullCurvePair, attr, counted)
-    sample_grid(SURFACES[name], 24, 20)
-    assert calls == [("phi_delta", (25,)), ("psi_delta", (21,))]
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from minface import gallery, quadrature
-from minface.errors import (DivisionByZero, DomainError, MinfaceError,
-                            QuadratureError)
+from minface.errors import DomainError, MinfaceError, QuadratureError
 from minface.expr import eval_array, eval_value, parse
 from minface.quadrature import PrefixIntegral, adaptive_quad
 from minface.surface import QUAD_TOL, _values, as_pair, surface_from_dict
@@ -91,9 +90,14 @@ def test_relative_acceptance_for_large_integrands():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def _pointwise(fn):
+    """The array integrand of a scalar fn, one point at a time."""
+    return lambda ts: np.array([fn(t) for t in ts])
+
+
 def test_prefix_integral_matches_direct():
     fn = lambda t: np.array([math.sin(3 * t), math.cosh(t), t ** 4])
-    pre = PrefixIntegral(fn, 0.5, -2.0, 2.0, abs_tol=1e-12)
+    pre = PrefixIntegral(fn, 0.5, -2.0, 2.0, _pointwise(fn), abs_tol=1e-12)
     for x in (-2.0, -0.3, 0.5, 0.51, 1.99):
         direct = adaptive_quad(fn, 0.5, x, abs_tol=1e-13)
         assert np.allclose(pre(x), direct, atol=5e-12)
@@ -101,7 +105,7 @@ def test_prefix_integral_matches_direct():
 
 def test_prefix_integral_is_additive():
     fn = lambda t: np.array([math.exp(t)])
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, abs_tol=1e-12)
+    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), abs_tol=1e-12)
     want = math.exp(0.75) - 1.0
     assert pre(0.75)[0] == pytest.approx(want, abs=1e-11)
 
@@ -123,16 +127,10 @@ def _same(got, want):
 
 
 def _assert_queries_equal(pre, ref, lo, hi, rng, n):
-    """Array, 0-d and float queries of pre equal ref's, bit for bit."""
+    """The ladder and queries of pre equal ref's, bit for bit."""
     ts = np.concatenate([np.linspace(lo, hi, n), rng.uniform(lo, hi, 4),
                          ref.nodes[[0, 1, -1]], [pre.t0]])
-    want = np.array([ref(t) for t in ts])
-    _same(pre(ts), want)
-    m = len(ts) // 2
-    _same(pre(ts[:2 * m].reshape(2, m)),
-          want[:2 * m].reshape((2, m) + want.shape[1:]))
-    _same(pre(float(ts[1])), want[1])
-    _same(pre(np.float64(ts[2])), want[2])
+    _same(np.array([pre(t) for t in ts]), np.array([ref(t) for t in ts]))
     _same(pre._cum, ref._cum)
 
 
@@ -149,7 +147,7 @@ def test_pair_prefixes_equal_the_scalar_march(name, rng):
         ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi,
                                       abs_tol=QUAD_TOL)
         ts = np.linspace(lo, hi, 25)
-        _same(delta(ts), np.array([ref(t) for t in ts]))
+        _same(np.array([delta(t) for t in ts]), np.array([ref(t) for t in ts]))
         _assert_queries_equal(delta.__self__._phi_prefix if delta.__name__
                               == "phi_delta" else
                               delta.__self__._psi_prefix, ref, lo, hi, rng, 9)
@@ -167,15 +165,15 @@ def test_batched_ladder_equals_the_scalar_march_on_generated_data(kind, seed,
              dom.u_max),
             (pair.psi_prime, pair.psi_prime_array, pair.base[1], dom.v_min,
              dom.v_max)):
-        pre = PrefixIntegral(_values(prime), t0, lo, hi, n_cache=36,
-                             abs_tol=QUAD_TOL, fn_array=_values(array))
+        pre = PrefixIntegral(_values(prime), t0, lo, hi, _values(array),
+                             n_cache=36, abs_tol=QUAD_TOL)
         ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi, n_cache=36,
                                       abs_tol=QUAD_TOL)
         _assert_queries_equal(pre, ref, lo, hi, rng, 7)
 
 
 def test_float_valued_integrand_equals_the_scalar_march(rng):
-    pre = PrefixIntegral(math.exp, 0.1, -1.0, 2.0, n_cache=50)
+    pre = PrefixIntegral(math.exp, 0.1, -1.0, 2.0, np.exp, n_cache=50)
     ref = ReferencePrefixIntegral(math.exp, 0.1, -1.0, 2.0, n_cache=50)
     _assert_queries_equal(pre, ref, -1.0, 2.0, rng, 13)
     assert pre(0.7).shape == ()
@@ -192,8 +190,8 @@ def _peak_array(ts):
                      1.0 / (1e-6 + (ts + 0.6) ** 2)], axis=-1)
 
 
-def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
-                                                              rng):
+def _count_fallbacks(monkeypatch):
+    """The (a, b) of every adaptive_quad call the prefix code makes."""
     calls = []
 
     def counted(fn, a, b, *args):
@@ -201,9 +199,15 @@ def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
         return adaptive_quad(fn, a, b, *args)
 
     monkeypatch.setattr(quadrature, "adaptive_quad", counted)
-    pre = PrefixIntegral(_peak, 0.0, -1.0, 1.0, fn_array=_peak_array)
+    return calls
+
+
+def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
+                                                              rng):
+    calls = _count_fallbacks(monkeypatch)
+    pre = PrefixIntegral(_peak, 0.0, -1.0, 1.0, _peak_array)
     ref = ReferencePrefixIntegral(_peak, 0.0, -1.0, 1.0)
-    pre(0.0)
+    pre._build()
     # only the segments near the peaks fall back, in march order: up the
     # ladder from the base, then down it
     assert 0 < len(calls) < 40
@@ -212,10 +216,19 @@ def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
     assert [a for a, b in calls] == sorted(a for a, b in calls if a < b) + \
         sorted((a for a, b in calls if a > b), reverse=True)
     _assert_queries_equal(pre, ref, -1.0, 1.0, rng, 25)
-    calls.clear()
-    _same(pre(np.array([0.2999, 0.3001])),
-          np.array([ref(0.2999), ref(0.3001)]))
-    assert len(calls) == 2
+
+
+def test_a_segment_within_its_own_budget_does_not_fall_back(monkeypatch,
+                                                            rng):
+    # the kink puts one segment's first-level error above abs_tol times its
+    # width, but within abs_tol: the whole budget of a segment on its own
+    fn = lambda t: np.array([1e-3 * abs(t - 0.1234) ** 1.5])
+    calls = _count_fallbacks(monkeypatch)
+    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn))
+    pre._build()
+    assert calls == []
+    _assert_queries_equal(pre, ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0),
+                          -1.0, 1.0, rng, 9)
 
 
 def test_chunks_hold_at_most_1024_points():
@@ -226,13 +239,13 @@ def test_chunks_hold_at_most_1024_points():
         return np.stack([np.sin(ts), np.exp(ts)], axis=-1)
 
     fn = lambda t: np.array([math.sin(t), math.exp(t)])
-    pre = PrefixIntegral(fn, 0.0, -1.0, 2.0, fn_array=array)
-    ts = np.random.default_rng(3).uniform(-1.0, 2.0, 5000)
-    got = pre(ts)
+    pre = PrefixIntegral(fn, 0.0, -1.0, 2.0, array)
+    pre._build()
     assert max(sizes) <= 1024
-    assert sum(sizes) == 30 * (len(pre.nodes) - 1 + 5000)
+    assert sum(sizes) == 30 * (len(pre.nodes) - 1)
     ref = ReferencePrefixIntegral(fn, 0.0, -1.0, 2.0)
-    _same(got[:50], np.array([ref(t) for t in ts[:50]]))
+    ref(0.5)
+    _same(pre._cum, ref._cum)
 
 
 def _failing_pair():
@@ -265,38 +278,8 @@ def test_evaluation_error_is_the_scalar_marchs():
         lambda: [fn(t) for t in points])
     want = _error(lambda: ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0)(0.0))
     assert want[0] is DomainError and "log" in want[1]
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, fn_array=array)
+    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, array)
     assert _error(lambda: pre(0.0)) == want
-    # queries too: the first failing query of the array, in order
-    fn2, array2 = _failing_pair()
-    pre = PrefixIntegral(fn2, 0.0, -1.0, 0.7, fn_array=array2)
-    ref = ReferencePrefixIntegral(fn2, 0.0, -1.0, 0.7)
-    ts = np.array([0.1, 0.755, 0.77, 0.9])
-    want = _error(lambda: [ref(t) for t in ts])
-    assert _error(lambda: pre(ts)) == want
-
-
-def test_query_errors_come_in_query_order():
-    # 0.0 is a ladder node, so its tail has zero length and is evaluated
-    # apart from the tail of 0.7, which fails first in query order
-    def fn(t):
-        if t == 0.0:
-            raise DivisionByZero(span=(0, 1))
-        if t > 0.6:
-            raise DomainError("sqrt", float(t), span=(2, 3))
-        return np.array([t, 1.0])
-
-    def array(ts):
-        if (ts == 0.0).any():
-            raise DivisionByZero(span=(0, 1))
-        return np.array([fn(t) for t in ts])
-
-    pre = PrefixIntegral(fn, 0.25, -0.5, 0.5, fn_array=array)
-    ref = ReferencePrefixIntegral(fn, 0.25, -0.5, 0.5)
-    assert 0.0 in pre.nodes
-    want = _error(lambda: [ref(t) for t in (0.7, 0.0)])
-    assert want[0] is DomainError
-    assert _error(lambda: pre(np.array([0.7, 0.0]))) == want
 
 
 def test_quadrature_error_names_the_scalar_marchs_interval():
@@ -306,6 +289,6 @@ def test_quadrature_error_names_the_scalar_marchs_interval():
     with pytest.raises(QuadratureError) as want:
         ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0, n_cache=16)(0.0)
     with pytest.raises(QuadratureError) as got:
-        PrefixIntegral(fn, 0.0, -1.0, 1.0, n_cache=16)(0.0)
+        PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), n_cache=16)(0.0)
     assert got.value.interval == want.value.interval
     assert str(got.value) == str(want.value)
