@@ -9,9 +9,8 @@ origin and quasi-umbilic lines along both axes.
 """
 
 from minface import gallery
-from minface.curvature import (energy_gauge, flat_classify,
-                               gaussian_curvature, reparametrize,
-                               sign_prediction)
+from minface.curvature import (AxisSamples, energy_gauge, flat_classify,
+                               gaussian_curvature, sign_prediction)
 from minface.surface import get_data
 
 kchange = gallery.get("kchange")
@@ -39,9 +38,9 @@ enneper = gallery.get("enneper")
 for (surface, name, t) in [(enneper, "enneper", 0.3),
                            (enneper, "enneper", -1.4),
                            (quasi, "ce-quasiumbilic", 0.7)]:
-    rj = reparametrize(surface, "u", t)
+    t_s, _ = AxisSamples(surface, "u", t).gauge_rate()
     data = get_data(surface)
-    tilde = data.g1_jet(t).d1 * rj.t_s * data.w1_jet(t).value * rj.t_s
+    tilde = data.g1_jet(t).d1 * t_s * data.w1_jet(t).value * t_s
     print(f"  {name:16s} t = {t:+.1f}:  |g1'~ w1~| = {abs(tilde):.12f}")
 
 print()

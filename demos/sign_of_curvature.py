@@ -11,9 +11,10 @@ tangent indicatrix, in the spirit of Milnor's curvature comparisons.
 import numpy as np
 
 from minface import gallery
-from minface.curvature import (curve_orientation, gaussian_curvature,
-                               milnor_sign_check, pseudo_arclength_axis,
+from minface.curvature import (AxisSamples, curve_orientation,
+                               gaussian_curvature, milnor_sign_check,
                                sign_prediction)
+from minface.lorentz import det3, mdot
 from minface.verify import check_sign_theorem, make_random_poly_data
 
 kchange = gallery.get("kchange")
@@ -45,15 +46,17 @@ for (u, v) in [(0.5, 0.5), (1.0, 1.0), (-2.0, 1.5)]:
           f"sign K: {ok}")
 
 print()
-print("== pseudo-arclength: the gauge behind the theorem ==")
-table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-print(f"q(t) = 2 sqrt(t) on [0.5, 1]; length = {table.length:.12f}")
-print(f"(4/3)(1 - 0.5^1.5)      = {4.0 / 3.0 * (1 - 0.5 ** 1.5):.12f}")
-for s in (0.0, 0.4, table.length):
-    jet = table.resampled(s)
-    acc = np.array([jet[0].d2, jet[1].d2, jet[2].d2])
-    pseudo = -acc[0] ** 2 + acc[1] ** 2 + acc[2] ** 2
-    print(f"  s = {s:.3f}:  <gamma_ss, gamma_ss> = {pseudo:.12f}")
+print("== the unit-acceleration gauge behind the theorem ==")
+print("at the rate t_s = <gamma'', gamma''>^(-1/4) = 1/(2 sqrt(t)) the")
+print("acceleration has unit pseudo-norm, and the frame determinant is")
+print("the orientation sign:")
+for t in (0.5, 0.8, 1.0):
+    rec = AxisSamples(kchange, "u", t)
+    t_s, _ = rec.gauge_rate()
+    unit = t_s ** 4 * mdot(rec.acc, rec.acc)
+    det = t_s ** 6 * det3(rec.vel, rec.acc, rec.jerk)
+    print(f"  t = {t:.1f}:  <gamma_ss, gamma_ss> = {unit:.12f}"
+          f"   det(gamma_s, gamma_ss, gamma_sss) = {det:+.12f}")
 
 print()
 print("== randomized stress test ==")

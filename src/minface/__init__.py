@@ -8,8 +8,8 @@ and ships a numerical property battery plus a small CLI.
 """
 
 from .errors import (DataConversionDegenerate, DegenerateAtPoint,
-                     DegenerateOnInterval, DegenerateSingular, DivisionByZero,
-                     DomainError, ExpressionSyntaxError, FlatPoint,
+                     DegenerateSingular, DivisionByZero, DomainError,
+                     ExpressionSyntaxError, FlatPoint,
                      InvalidCurveData, InvalidWeierstrassData, MinfaceError,
                      ModeUnsupported, MultipleVariables, NonFiniteResult,
                      NonIntegerExponent, NotCuspidalEdge, NotSingular,
@@ -18,12 +18,7 @@ from .errors import (DataConversionDegenerate, DegenerateAtPoint,
 from .jets import Jet3, constant, lift_variable, shift_derivative
 from .expr import (Expression, eval_array, eval_jet, eval_value, parse,
                    to_string)
-from .lorentz import (causal_character, det3, edot, enorm, mcross, mdot,
-                      vec3)
-from .paracomplex import (SplitComplex, assemble_paraholomorphic, conjugate,
-                          is_zero_divisor, lorentzian_null_check,
-                          minkowski_product, null_residual, split,
-                          square_modulus, weierstrass_integrand)
+from .lorentz import det3, enorm, mcross, mdot, vec3
 from .quadrature import PrefixIntegral, adaptive_quad
 from .surface import (NullCurvePair, RealWeierstrassData, RecoveredData,
                       Rect, Surface, SurfaceJet, as_pair, conjugate_data,
@@ -32,14 +27,11 @@ from .surface import (NullCurvePair, RealWeierstrassData, RecoveredData,
                       pair_from_position_expressions, require_data,
                       save_spec, surface_from_dict, surface_to_dict)
 from .curvature import (FlatClassification, FlatTag, OrientationSign,
-                        PseudoArclengthTable, ReparamJet, WindingSigns,
-                        axis_curve, curve_orientation, energy_gauge,
-                        flat_classify, gaussian_curvature,
+                        WindingSigns, axis_curve, curve_orientation,
+                        energy_gauge, flat_classify, gaussian_curvature,
                         gaussian_curvature_extrinsic,
                         gaussian_curvature_intrinsic_fd, milnor_sign_check,
-                        orientation, pseudo_arclength, pseudo_arclength_axis,
-                        reparam_jet, reparametrize, sign_prediction,
-                        winding_signs)
+                        orientation, sign_prediction, winding_signs)
 from .singular import (MainTheoremReport, SingularClassification,
                        SingularCurve, SingularData, SingularDirections,
                        SingularPointReport, all_reports, classify_singular,
@@ -65,18 +57,14 @@ __all__ = [
     "DataConversionDegenerate", "ModeUnsupported", "QuadratureError",
     "SingularPoint", "SingularNeighborhood", "NotSingular",
     "NotCuspidalEdge", "FlatPoint", "DegenerateAtPoint",
-    "DegenerateOnInterval", "DegenerateSingular", "RootNotConverged",
-    "OutsideDomain",
+    "DegenerateSingular", "RootNotConverged", "OutsideDomain",
     # jets and expressions
     "Jet3", "constant", "lift_variable", "shift_derivative",
     "Expression", "parse", "eval_jet", "eval_value", "eval_array",
     "to_string",
     # geometry helpers
-    "vec3", "mdot", "mcross", "edot", "enorm", "det3", "causal_character",
-    "SplitComplex", "conjugate", "square_modulus", "is_zero_divisor",
-    "minkowski_product", "assemble_paraholomorphic", "split",
-    "weierstrass_integrand", "lorentzian_null_check", "null_residual",
-    "adaptive_quad", "PrefixIntegral",
+    "vec3", "mdot", "mcross", "enorm", "det3", "adaptive_quad",
+    "PrefixIntegral",
     # surfaces
     "Rect", "RealWeierstrassData", "NullCurvePair", "Surface", "SurfaceJet",
     "RecoveredData", "as_pair", "get_data", "require_data",
@@ -88,9 +76,7 @@ __all__ = [
     "gaussian_curvature_intrinsic_fd", "FlatTag", "FlatClassification",
     "flat_classify", "OrientationSign", "orientation", "curve_orientation",
     "sign_prediction", "WindingSigns", "winding_signs", "milnor_sign_check",
-    "ReparamJet", "reparam_jet", "reparametrize", "PseudoArclengthTable",
-    "pseudo_arclength", "pseudo_arclength_axis", "energy_gauge",
-    "axis_curve",
+    "energy_gauge", "axis_curve",
     # singular set
     "SingularData", "singular_data", "signed_area_density",
     "lambda_gradient_on_singular", "SingularClassification",

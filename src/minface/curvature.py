@@ -16,26 +16,27 @@ its (u, v) and raises the typed error where the formula's mask is False.
 
 The second half of the module deals with the generating curves themselves:
 orientation signs det(gamma', gamma'', gamma'''), the winding-rate signs of
-the tangent indicatrices, and reparametrization by pseudo-arclength (the
-parameter in which the curve's acceleration has unit pseudo-norm).
+the tangent indicatrices, and the energy gauge, whose data derivatives are
+taken in the unit-acceleration gauge: the parameter s with
+<gamma_ss, gamma_ss> = 1, reached at the rate t_s = <gamma'', gamma''>^(-1/4)
+of ``AxisSamples.gauge_rate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateAtPoint, DegenerateOnInterval, FlatPoint,
-                     SingularPoint, SingularNeighborhood)
+from .errors import (DegenerateAtPoint, FlatPoint, SingularPoint,
+                     SingularNeighborhood)
 from .expr import eval_array, eval_jet
 from .jets import SCALAR_OPS, Jet3, elementwise, float_pow, lift_variable
 from .lorentz import det3, enorm, mdot, vec3
-from .quadrature import adaptive_quad
 from .surface import (REGULAR_TOL, Surface, SurfaceJet, _phi_jets,
                       _prime_array, _psi_jets, as_pair, get_data,
                       normal_samples, require_data)
@@ -44,6 +45,9 @@ FD_STEP = 1e-3
 # A curve counts as degenerate (flat) where its acceleration pseudo-norm is at
 # most this share of the squared local jet size.
 FLAT_TOL = 1e-9
+# The unit-acceleration gauge exists where <gamma'', gamma''> exceeds this
+# share of (1 + |gamma''|)^2.
+_DEGENERACY_TOL = 1e-12
 
 # A "curve" below is a callable t -> (Jet3, Jet3, Jet3): the velocity jets of
 # a null curve, so value/d1/d2 of the components are gamma'/gamma''/gamma'''.
@@ -151,15 +155,19 @@ class AxisSamples:
         return (np.where(delta > 0, 1, -1)
                 * np.where(self.vel[..., 0] > 0, 1, -1), delta != 0.0)
 
+    def gaugeable(self) -> np.ndarray:
+        """Where the unit-acceleration gauge exists at t."""
+        return ~(mdot(self.acc, self.acc)
+                 <= _DEGENERACY_TOL * float_pow(1.0 + enorm(self.acc), 2))
+
     def gauge_rate(self, fd_step: float = 1e-5):
-        """t_s = 1/q of ``reparam_jet`` at each t, and where it has one."""
-        accs = [self.acc, self.shifted(fd_step).acc,
-                self.shifted(-fd_step).acc]
-        q4s = [mdot(acc, acc) for acc in accs]
+        """t_s = <gamma'', gamma''>^(-1/4) at each t, and where the gauge
+        exists at t, t + fd_step and t - fd_step."""
         ok = np.logical_and.reduce(
-            [~(q4 <= _DEGENERACY_TOL * float_pow(1.0 + enorm(acc), 2))
-             for q4, acc in zip(q4s, accs)])
-        return 1.0 / float_pow(np.where(ok, q4s[0], 1.0), 0.25), ok
+            [self.gaugeable(), self.shifted(fd_step).gaugeable(),
+             self.shifted(-fd_step).gaugeable()])
+        q4 = np.where(ok, mdot(self.acc, self.acc), 1.0)
+        return 1.0 / float_pow(q4, 0.25), ok
 
 
 def gathered(parts, index) -> AxisSamples:
@@ -494,200 +502,6 @@ def milnor_sign_check(p: Surface, u: float, v: float,
     return winding_signs(p, u, v, step).product == (1 if k > 0 else -1)
 
 
-# --- pseudo-arclength -----------------------------------------------------------
-
-
-_DEGENERACY_TOL = 1e-12
-
-
-def _acc_quartic(curve: CurveFn, t: float) -> Tuple[float, float]:
-    """(<gamma'', gamma''>, Euclidean size of gamma'') at t."""
-    jets = curve(t)
-    c2 = vec3(jets[0].d1, jets[1].d1, jets[2].d1)
-    return mdot(c2, c2), enorm(c2)
-
-
-def _q_checked(curve: CurveFn, t: float) -> float:
-    q4, size = _acc_quartic(curve, t)
-    if q4 <= _DEGENERACY_TOL * (1.0 + size) ** 2:
-        raise DegenerateOnInterval(t)
-    return q4 ** 0.25
-
-
-@dataclass(frozen=True)
-class ReparamJet:
-    """Chain-rule data of the unit-acceleration reparametrization at one t.
-
-    ``t_s``, ``t_ss``, ``t_sss`` are derivatives of the inverse parameter
-    t(s) with respect to pseudo-arclength s; ``gamma_s`` etc. are the curve
-    derivatives in the s parameter. <gamma_ss, gamma_ss> = 1 by construction.
-    """
-
-    t: float
-    q: float
-    t_s: float
-    t_ss: float
-    t_sss: float
-    gamma_s: np.ndarray
-    gamma_ss: np.ndarray
-    gamma_sss: np.ndarray
-
-    def jets(self) -> Tuple[Jet3, Jet3, Jet3]:
-        """Velocity jets of the reparametrized curve (d3 slots unused)."""
-        return tuple(Jet3(self.gamma_s[i], self.gamma_ss[i],
-                          self.gamma_sss[i], 0.0) for i in range(3))
-
-
-def _q_and_rate(curve: CurveFn, t: float):
-    jets = curve(t)
-    acc = vec3(jets[0].d1, jets[1].d1, jets[2].d1)
-    jerk = vec3(jets[0].d2, jets[1].d2, jets[2].d2)
-    q4 = mdot(acc, acc)
-    if q4 <= _DEGENERACY_TOL * (1.0 + enorm(acc)) ** 2:
-        raise DegenerateAtPoint(f"curve is degenerate at {t!r}")
-    q = q4 ** 0.25
-    # q = q4^(1/4)  =>  q' = <acc, jerk> / (2 q4^(3/4))
-    q_rate = mdot(acc, jerk) / (2.0 * q4 ** 0.75)
-    return jets, q, q_rate
-
-
-def reparam_jet(curve: CurveFn, t: float, fd_step: float = 1e-5) -> ReparamJet:
-    """Unit-acceleration gauge of a null curve at parameter t.
-
-    Everything is exact from the jets except t_sss, which needs one more
-    curve derivative than a jet carries; a central difference of the
-    analytic q' supplies it.
-    """
-    jets, q, q_rate = _q_and_rate(curve, t)
-    t_s = 1.0 / q
-    t_ss = -q_rate / q ** 3
-    _, _, qr_plus = _q_and_rate(curve, t + fd_step)
-    _, _, qr_minus = _q_and_rate(curve, t - fd_step)
-    q_rate2 = (qr_plus - qr_minus) / (2.0 * fd_step)
-    t_sss = -q_rate2 / q ** 4 + 3.0 * q_rate ** 2 / q ** 5
-    c1, c2, c3 = _unpack(jets)
-    gamma_s = c1 * t_s
-    gamma_ss = c2 * t_s ** 2 + c1 * t_ss
-    gamma_sss = c3 * t_s ** 3 + 3.0 * c2 * t_s * t_ss + c1 * t_sss
-    return ReparamJet(t, q, t_s, t_ss, t_sss, gamma_s, gamma_ss, gamma_sss)
-
-
-def reparametrize(surface: Surface, axis: str, t: float,
-                  fd_step: float = 1e-5) -> ReparamJet:
-    """Unit-acceleration gauge of a surface's u- or v-curve at t."""
-    return reparam_jet(axis_curve(surface, axis), t, fd_step)
-
-
-@dataclass(frozen=True)
-class PseudoArclengthTable:
-    """Cumulative pseudo-arclength table s(t) over a parameter interval.
-
-    ``ts`` and ``ss`` are parallel arrays with s(ts[i]) = ss[i] and
-    ss[0] = 0; both are ascending and must not be mutated. ``resampled``
-    is the reparametrized curve itself, as a velocity-jet function of s,
-    with unit acceleration pseudo-norm everywhere.
-    """
-
-    curve: CurveFn = field(repr=False)
-    ts: np.ndarray
-    ss: np.ndarray
-    fd_step: float = 1e-5
-
-    @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.ts[-1])
-
-    @property
-    def length(self) -> float:
-        """Total pseudo-arclength of the interval."""
-        return float(self.ss[-1])
-
-    def q(self, t: float) -> float:
-        """ds/dt = <gamma'', gamma''>^(1/4) at t."""
-        return _q_checked(self.curve, t)
-
-    def s_of_t(self, t: float) -> float:
-        pad = 1e-12 * (1.0 + abs(self.t0) + abs(self.t1))
-        if not self.t0 - pad <= t <= self.t1 + pad:
-            raise ValueError(f"t = {t!r} outside [{self.t0!r}, {self.t1!r}]")
-        t = min(max(t, self.t0), self.t1)
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        return float(self.ss[k]) + adaptive_quad(self.q, float(self.ts[k]), t)
-
-    def t_of_s(self, s: float) -> float:
-        """Invert s(t) by safeguarded Newton on the bracketing segment."""
-        pad = 1e-12 * (1.0 + self.length)
-        if not -pad <= s <= self.length + pad:
-            raise ValueError(f"s = {s!r} outside [0, {self.length!r}]")
-        s = min(max(s, 0.0), self.length)
-        k = int(np.searchsorted(self.ss, s, side="right")) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        lo, hi = float(self.ts[k]), float(self.ts[k + 1])
-        s_lo, s_hi = float(self.ss[k]), float(self.ss[k + 1])
-        frac = (s - s_lo) / (s_hi - s_lo) if s_hi > s_lo else 0.5
-        t = lo + (hi - lo) * frac
-        blo, bhi = lo, hi
-        for _ in range(60):
-            resid = s_lo + adaptive_quad(self.q, lo, t) - s
-            if abs(resid) <= 1e-13 * (1.0 + self.length):
-                break
-            if resid > 0:
-                bhi = t
-            else:
-                blo = t
-            t_next = t - resid / self.q(t)
-            if not blo <= t_next <= bhi:
-                t_next = 0.5 * (blo + bhi)
-            if t_next == t:
-                break
-            t = t_next
-        return t
-
-    def resampled(self, s: float) -> Tuple[Jet3, Jet3, Jet3]:
-        """Velocity jets of the unit-acceleration curve at pseudo-arclength s."""
-        return reparam_jet(self.curve, self.t_of_s(s), self.fd_step).jets()
-
-    def resampled_jet(self, s: float) -> ReparamJet:
-        """Full chain-rule record of the resampled curve at s."""
-        return reparam_jet(self.curve, self.t_of_s(s), self.fd_step)
-
-
-def pseudo_arclength(curve: CurveFn, t0: float, t1: float,
-                     n_samples: int = 33) -> PseudoArclengthTable:
-    """Reparametrize a null curve by pseudo-arclength over [t0, t1].
-
-    Integrates ds/dt = <gamma'', gamma''>^(1/4) cumulatively over a grid of
-    n_samples points. The interval is prescanned in ascending order and
-    DegenerateOnInterval is raised with the first grid parameter at which
-    the acceleration pseudo-norm is negligible (the gauge does not exist
-    across such a point).
-    """
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    if n_samples < 2:
-        raise ValueError(f"need n_samples >= 2, got {n_samples!r}")
-    ts = np.linspace(t0, t1, n_samples)
-    for t in ts:
-        _q_checked(curve, float(t))
-    ss = np.empty_like(ts)
-    ss[0] = 0.0
-    q = lambda t: _q_checked(curve, t)
-    for i in range(1, len(ts)):
-        ss[i] = ss[i - 1] + adaptive_quad(q, float(ts[i - 1]), float(ts[i]))
-    return PseudoArclengthTable(curve, ts, ss)
-
-
-def pseudo_arclength_axis(surface: Surface, axis: str, t0: float, t1: float,
-                          n_samples: int = 33) -> PseudoArclengthTable:
-    """Pseudo-arclength table for a surface's u- or v-generating curve."""
-    return pseudo_arclength(axis_curve(surface, axis), t0, t1, n_samples)
-
-
 def energy_gauge(surface: Surface, u: float, v: float) -> float:
     """E = eps_phi eps_psi (1 - g1 g2)^2 / (4 g1~' g2~') in the unit gauge.
 
@@ -700,8 +514,10 @@ def energy_gauge(surface: Surface, u: float, v: float) -> float:
     sign_prediction(surface, u, v)  # raises off the regular set and at flats
     e, ok = energy_gauge_samples(*_records(surface, u, v))
     if not ok:
-        # the gauge fails within its difference step of u or v, where
-        # reparametrize raises DegenerateAtPoint for the first such point
-        reparametrize(surface, "u", u)
-        reparametrize(surface, "v", v)
+        # name the first parameter where gauge_rate's mask fails, u's first
+        for axis, t in (("u", u), ("v", v)):
+            for s in (t, t + 1e-5, t - 1e-5):
+                if not AxisSamples(surface, axis, s).gaugeable():
+                    raise DegenerateAtPoint(
+                        f"curve is degenerate at {float(s)!r}")
     return float(e)

@@ -192,15 +192,5 @@ class DegenerateAtPoint(MinfaceError, ValueError):
     """Null curve has <gamma'', gamma''> = 0 at the queried parameter."""
 
 
-class DegenerateOnInterval(MinfaceError, ValueError):
-    """Null curve degenerates somewhere on the requested interval."""
-
-    def __init__(self, param, message=None):
-        self.param = param
-        if message is None:
-            message = f"curve degenerates near parameter {param!r}"
-        super().__init__(message)
-
-
 class DegenerateSingular(MinfaceError, ValueError):
     """Both data derivatives vanish at a singular point; directions undefined."""

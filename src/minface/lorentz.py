@@ -31,10 +31,6 @@ def mcross(a, b) -> np.ndarray:
     return c
 
 
-def edot(a, b) -> float:
-    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
 def enorm(a):
     """Euclidean length; a float for a 3-vector, else an array."""
     if getattr(a, "ndim", 1) == 1:
@@ -48,13 +44,3 @@ def det3(a, b, c):
     3-vectors, else an array with one determinant per stacked triple."""
     det = np.linalg.det(np.stack([a, b, c], axis=-1))
     return float(det) if det.ndim == 0 else det
-
-
-def causal_character(v, tol: float = 0.0) -> str:
-    """'spacelike', 'timelike', or 'lightlike' by the sign of <v, v>."""
-    q = mdot(v, v)
-    if q > tol:
-        return "spacelike"
-    if q < -tol:
-        return "timelike"
-    return "lightlike"

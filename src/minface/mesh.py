@@ -49,13 +49,6 @@ class SurfaceMesh:
     nv: int
     singular_polylines: tuple = ()
 
-    @property
-    def vertices(self):
-        """Per-vertex records (position, K, lambda, flat_tag, proxy)."""
-        return [(self.positions[i], self.k_values[i], self.area_density[i],
-                 self.flat_tags[i], float(self.proxies[i]))
-                for i in range(len(self.positions))]
-
 
 def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
     """Row-major tuple of the values, with None where keep is false."""

@@ -1,8 +1,13 @@
-"""Shared fixtures: gallery surfaces and a deterministic RNG."""
+"""Shared fixtures: gallery surfaces, a deterministic RNG, and the
+environment of a child interpreter."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minface
 from minface import gallery
 
 
@@ -29,3 +34,11 @@ def kchange():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """os.environ with this minface first on PYTHONPATH."""
+    src = str(Path(minface.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

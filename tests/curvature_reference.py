@@ -3,9 +3,10 @@
 The scalar bodies below are the ones ``minface.curvature`` and
 ``minface.surface`` ran per point before each curvature quantity became one
 formula over ``AxisSamples`` records: the three K routes, the flat
-classification, the orientation, sign and winding bookkeeping, the energy
-gauge, ``jets_at``'s own normal formulas and the data recovery, and the
-point loop of ``check_data_roundtrip``. They read the curves through the
+classification, the orientation, sign and winding bookkeeping, the
+unit-acceleration gauge rate and the energy gauge, ``jets_at``'s own normal
+formulas and the data recovery, and the point loop of
+``check_data_roundtrip``. They read the curves through the
 scalar jet closures only. Where a body evaluated one curve at one parameter
 twice, its reference evaluates it once, in the same order: the same bits,
 and the same first error. The tests compare the library against them bit
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from minface.curvature import (FlatClassification, FlatTag, OrientationSign,
-                               WindingSigns, reparametrize)
+                               WindingSigns)
 from minface.errors import (DataConversionDegenerate, DegenerateAtPoint,
                             FlatPoint, SingularNeighborhood, SingularPoint)
 from minface.expr import eval_value
@@ -222,13 +223,31 @@ def reference_milnor_sign_check(surface, u, v, step=1e-5):
             == (1 if k > 0 else -1))
 
 
+def _gauge_q(curve, t):
+    _, acc, _ = _unpack(curve(t))
+    q4 = mdot(acc, acc)
+    if q4 <= 1e-12 * (1.0 + enorm(acc)) ** 2:
+        raise DegenerateAtPoint(f"curve is degenerate at {t!r}")
+    return q4 ** 0.25
+
+
+def reference_gauge_rate(curve, t, fd_step=1e-5):
+    """t_s = 1/q, q = <gamma'', gamma''>^(1/4), of the unit-acceleration
+    gauge at t; raises where q vanishes at t, t + fd_step or t - fd_step."""
+    q = _gauge_q(curve, t)
+    _gauge_q(curve, t + fd_step)
+    _gauge_q(curve, t - fd_step)
+    return 1.0 / q
+
+
 def reference_energy_gauge(surface, u, v):
     d = require_data(surface, "the energy gauge")
     eps = reference_sign_prediction(surface, u, v)
-    ru = reparametrize(surface, "u", u)
-    rv = reparametrize(surface, "v", v)
-    g1t = d.g1_jet(u).d1 * ru.t_s
-    g2t = d.g2_jet(v).d1 * rv.t_s
+    pair = as_pair(surface)
+    t_s_u = reference_gauge_rate(pair.phi_prime, u)
+    t_s_v = reference_gauge_rate(pair.psi_prime, v)
+    g1t = d.g1_jet(u).d1 * t_s_u
+    g2t = d.g2_jet(v).d1 * t_s_v
     g1v = d.g1_jet(u).value
     g2v = d.g2_jet(v).value
     return eps * (1.0 - g1v * g2v) ** 2 / (4.0 * g1t * g2t)

@@ -3,6 +3,8 @@
 import csv
 import gc
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -299,8 +301,8 @@ _EXIT_CODES = {
     "DomainError": 3, "DivisionByZero": 3, "NonFiniteResult": 3,
     "DataConversionDegenerate": 3, "QuadratureError": 3, "SingularPoint": 3,
     "SingularNeighborhood": 3, "NotSingular": 3, "NotCuspidalEdge": 3,
-    "FlatPoint": 3, "DegenerateAtPoint": 3, "DegenerateOnInterval": 3,
-    "DegenerateSingular": 3, "RootNotConverged": 3, "OutsideDomain": 3,
+    "FlatPoint": 3, "DegenerateAtPoint": 3, "DegenerateSingular": 3,
+    "RootNotConverged": 3, "OutsideDomain": 3,
 }
 
 
@@ -320,3 +322,20 @@ def test_library_errors_map_to_exit_codes_by_class(cls, spec_dir,
     assert main(["curvature", "--spec", enneper_spec(spec_dir),
                  "--u", "0", "--v", "0"]) == _EXIT_CODES[cls.__name__]
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, child_env):
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "minface.cli", *args],
+                              capture_output=True, text=True, timeout=120,
+                              env=child_env)
+
+    missing = run("curvature", "--spec", str(tmp_path / "no.json"), "--u",
+                  "0", "--v", "0")
+    assert missing.returncode == 2
+    assert missing.stdout == ""
+    assert [line[:7] for line in missing.stderr.splitlines()] == ["error: "]
+    made = run("gallery", "--name", "enneper", "--out", str(tmp_path / "out"))
+    assert made.returncode == 0, made.stderr
+    assert (json.loads((tmp_path / "out" / "enneper.json").read_text())
+            == gallery.spec_dict("enneper"))

@@ -1,11 +1,11 @@
-"""Curvature routes, flat points, orientation signs, pseudo-arclength, gauges."""
+"""Curvature routes, flat points, orientation signs, gauges."""
 
 import math
 
-import numpy as np
 import pytest
 
 from minface.curvature import (
+    AxisSamples,
     FlatTag,
     axis_curve,
     curve_orientation,
@@ -14,16 +14,11 @@ from minface.curvature import (
     gaussian_curvature,
     milnor_sign_check,
     orientation,
-    pseudo_arclength,
-    pseudo_arclength_axis,
-    reparam_jet,
-    reparametrize,
     sign_prediction,
     winding_signs,
 )
 from minface.errors import (
     DegenerateAtPoint,
-    DegenerateOnInterval,
     FlatPoint,
     ModeUnsupported,
     SingularNeighborhood,
@@ -241,86 +236,40 @@ def test_milnor_raises_at_flat_point(kchange):
         milnor_sign_check(kchange, 0.0, 1.0)
 
 
-# --- pseudo-arclength -------------------------------------------------------------
+# --- unit-acceleration gauge -------------------------------------------------------
 
 
-def test_pseudo_arclength_closed_form_length(kchange):
-    """For the raw pair's u-curve, ds/dt = 2 sqrt(t): s = (4/3) t^(3/2)."""
-    table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-    want = (4.0 / 3.0) * (1.0 - 0.5 ** 1.5)
-    assert table.length == pytest.approx(want, abs=1e-9)
-    assert table.q(0.81) == pytest.approx(2.0 * 0.9, rel=1e-12)
+def test_gauge_rate_is_the_unit_acceleration_rate(ce_quasi):
+    """t_s = 1/q with q = <gamma'', gamma''>^(1/4) = sqrt(2) at u = 0.7, and
+    <gamma_ss, gamma_ss> = t_s^4 <gamma'', gamma''> = 1 (gamma' is null)."""
+    rec = AxisSamples(ce_quasi, "u", 0.7)
+    t_s, ok = rec.gauge_rate()
+    assert ok
+    assert t_s == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    assert t_s ** 4 * mdot(rec.acc, rec.acc) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pseudo_arclength_inverse_round_trip(kchange):
-    table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-    for t in (0.5, 0.63, 0.8, 0.97, 1.0):
-        s = table.s_of_t(t)
-        assert (4.0 / 3.0) * (t ** 1.5 - 0.5 ** 1.5) == pytest.approx(s,
-                                                                      abs=1e-9)
-        assert table.t_of_s(s) == pytest.approx(t, abs=1e-10)
-
-
-def test_pseudo_arclength_rejects_bad_intervals(kchange):
-    curve = axis_curve(kchange, "u")
-    with pytest.raises(ValueError):
-        pseudo_arclength(curve, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        pseudo_arclength(curve, 0.5, 1.0, n_samples=1)
-
-
-def test_pseudo_arclength_detects_degeneracy(kchange):
-    with pytest.raises(DegenerateOnInterval) as exc:
-        pseudo_arclength_axis(kchange, "u", 0.0, 1.0)
-    assert exc.value.param == 0.0
-
-
-def test_table_rejects_out_of_range_queries(kchange):
-    table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-    with pytest.raises(ValueError):
-        table.s_of_t(0.4)
-    with pytest.raises(ValueError):
-        table.t_of_s(table.length + 0.1)
-
-
-def test_resampled_curve_has_unit_acceleration(kchange):
-    table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-    for s in (0.0, 0.2, 0.5, table.length):
-        jets = table.resampled(s)
-        acc = np.array([j.d1 for j in jets])
-        assert mdot(acc, acc) == pytest.approx(1.0, abs=1e-9)
+def test_gauge_rate_masks_degenerate_point(kchange):
+    _, ok = AxisSamples(kchange, "u", 0.0).gauge_rate()
+    assert not ok
 
 
 def test_orientation_invariant_under_resampling(kchange):
-    """det(gamma', gamma'', gamma''') in the unit gauge is exactly -1 here."""
-    table = pseudo_arclength_axis(kchange, "u", 0.5, 1.0)
-    o = orientation(lambda s: table.resampled(s), 0.3)
-    assert o.sign == -1
-    assert o.determinant == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_reparam_jet_chain_rule(ce_quasi):
-    """gamma_ss must be unit and t_s = 1/q; data derivative picks up t_s."""
-    r = reparametrize(ce_quasi, "u", 0.7)
-    assert r.q == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert r.t_s == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-    assert mdot(r.gamma_ss, r.gamma_ss) == pytest.approx(1.0, abs=1e-12)
-    # velocity stays null in any parameter
-    assert mdot(r.gamma_s, r.gamma_s) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_reparam_rejects_degenerate_point(kchange):
-    with pytest.raises(DegenerateAtPoint):
-        reparam_jet(axis_curve(kchange, "u"), 0.0)
+    """In the unit-acceleration gauge the frame determinant,
+    t_s^6 det(gamma', gamma'', gamma'''), is exactly -1 here."""
+    for t in (0.5, 0.8, 1.0):
+        t_s, _ = AxisSamples(kchange, "u", t).gauge_rate()
+        o = orientation(axis_curve(kchange, "u"), t)
+        assert o.sign == -1
+        assert t_s ** 6 * o.determinant == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_unit_gauge_data_derivative_has_magnitude_half(enneper, ce_quasi):
     """|g1~' w1~| = 1/2 in the unit-acceleration gauge, for any data surface."""
     for surface, t in ((enneper, 0.9), (enneper, -1.4), (ce_quasi, 0.7)):
-        d = surface
-        r = reparametrize(surface, "u", t)
-        g1t = d.g1_jet(t).d1 * r.t_s
-        w1t = d.w1_jet(t).value * r.t_s
+        t_s, _ = AxisSamples(surface, "u", t).gauge_rate()
+        g1t = surface.g1_jet(t).d1 * t_s
+        w1t = surface.w1_jet(t).value * t_s
         assert abs(g1t * w1t) == pytest.approx(0.5, rel=1e-12)
 
 

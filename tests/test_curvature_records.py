@@ -23,7 +23,8 @@ from minface.curvature import (AxisSamples, axis_curve, curve_orientation,
                                gaussian_curvature_intrinsic_fd,
                                milnor_sign_check, orientation,
                                sign_prediction, winding_signs)
-from minface.errors import DataConversionDegenerate
+from minface.errors import (DataConversionDegenerate, DegenerateAtPoint,
+                            FlatPoint)
 from minface.singular import (_main_theorem, all_reports, signed_area_density,
                               trace_singular_set, verify_main_theorem)
 from minface.surface import (RealWeierstrassData, Rect, as_pair,
@@ -264,3 +265,44 @@ def test_main_theorem_and_roundtrip_checks_make_no_per_point_calls(
     # the counter sees per-point calls
     curvature.gaussian_curvature(surf, 0.1, 0.2)
     assert calls["gaussian_curvature"] == 1 and calls["eval_jet"] > 0
+
+
+# g1' and g2' vanish at -1e-5 and 1e-5 (to within 5e-9): there the
+# unit-acceleration gauge does not exist.
+_GAUGE_GAPS = RealWeierstrassData.from_strings(
+    "1e7*(u^3/3 - 1e-10*u)", "1e7*(v^3/3 - 1e-10*v)", "1/2", "1/2",
+    Rect(-1.0, 1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("u, v, want", [
+    (0.0, 0.1, "1e-05"),  # u + 1e-5 and u - 1e-5 fail: + first
+    (2e-5, 0.1, "1e-05"),  # u - 1e-5 fails
+    (-2e-5, 0.1, "-1e-05"),  # u + 1e-5 fails
+    (0.1, 0.0, "1e-05"),
+    (0.1, 2e-5, "1e-05"),
+    (0.1, -2e-5, "-1e-05"),
+    (2e-5, -2e-5, "1e-05"),  # u before v
+    # at the parameter itself sign_prediction raises first
+    (1e-5, 0.1, "(1e-05, 0.1) is a flat point; K has no sign there"),
+])
+def test_energy_gauge_names_the_first_failing_parameter(u, v, want):
+    got = _outcome(energy_gauge, _GAUGE_GAPS, u, v)
+    assert got == _outcome(ref.reference_energy_gauge, _GAUGE_GAPS, u, v)
+    assert got[1].endswith(want)
+    assert got[0] is (FlatPoint if "flat" in want else DegenerateAtPoint)
+    if got[0] is DegenerateAtPoint:
+        # the parameter prints as a float, not as np.float64(...)
+        assert _outcome(energy_gauge, _GAUGE_GAPS, np.float64(u),
+                        np.float64(v)) == got
+
+
+def test_gauge_rate_masks_where_the_reference_raises():
+    pair = as_pair(_GAUGE_GAPS)
+    for axis, curve in (("u", pair.phi_prime), ("v", pair.psi_prime)):
+        for t in (-1e-5, 0.0, 1e-5, 2e-5, 0.3):
+            t_s, ok = AxisSamples(_GAUGE_GAPS, axis, t).gauge_rate()
+            want = _outcome(ref.reference_gauge_rate, curve, t)
+            if t == 0.3:
+                assert ok and _same(float(t_s), want)
+            else:
+                assert not ok and want[0] is DegenerateAtPoint, (axis, t)

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from minface.lorentz import (
-    causal_character,
-    det3,
-    edot,
-    enorm,
-    mcross,
-    mdot,
-    vec3,
-)
+from minface.lorentz import det3, enorm, mcross, mdot, vec3
 
 
 def test_metric_signature():
@@ -24,7 +16,6 @@ def test_metric_signature():
 
 def test_euclidean_companions():
     a = vec3(3.0, 4.0, 12.0)
-    assert edot(a, a) == 169.0
     assert enorm(a) == 13.0
 
 
@@ -61,13 +52,6 @@ def test_stacked_det3_equals_row_by_row_det3():
     assert stacked.tobytes() == np.array(rows).tobytes()
     grid = det3(*(x.reshape(20, 25, 3) for x in (a, b, c)))
     assert grid.tobytes() == stacked.tobytes()
-
-
-def test_causal_character():
-    assert causal_character(vec3(1, 0, 0)) == "timelike"
-    assert causal_character(vec3(0, 1, 0)) == "spacelike"
-    assert causal_character(vec3(1, 1, 0)) == "lightlike"
-    assert causal_character(vec3(5, 3, 4)) == "lightlike"
 
 
 def test_null_cross_null_for_weierstrass_frame():

@@ -39,7 +39,6 @@ def test_grid_shapes(small_mesh):
     assert small_mesh.positions.shape == (5 * 7, 3)
     assert small_mesh.faces.shape == (2 * 4 * 6, 3)
     assert len(small_mesh.k_values) == 35
-    assert len(small_mesh.vertices) == 35
 
 
 def test_grid_is_row_major_and_faces_split_quads(ce_quasi):

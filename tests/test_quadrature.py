@@ -292,3 +292,39 @@ def test_quadrature_error_names_the_scalar_marchs_interval():
         PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), n_cache=16)(0.0)
     assert got.value.interval == want.value.interval
     assert str(got.value) == str(want.value)
+
+
+# --- the acceptance test at its thresholds ---------------------------------------
+
+
+def test_relative_clause_scales_by_the_fine_estimate():
+    # err = e just above REL_TOL * max|coarse| = REL_TOL, and within
+    # REL_TOL * max|fine|; the budget and the width clause both fail
+    e = np.nextafter(quadrature.REL_TOL * 1.0, 1.0)
+    coarse, fine = np.array([1.0, 0.0]), np.array([1.0 + 2.0 ** -40, e])
+    ok, err = quadrature._accepted(coarse, fine, 1.0, 1.0, 0.0)
+    assert err == e and ok
+    assert not quadrature._accepted(fine, coarse, 1.0, 1.0, 0.0)[0]
+
+
+def test_budget_is_abs_tol_times_width_over_total_length():
+    # the first draw where abs_tol*width/total_len rounds above
+    # abs_tol*(width/total_len); err sits exactly on the larger one
+    rng = np.random.default_rng(0)
+    while True:
+        abs_tol, width, total = 1e-12, *rng.uniform(0.1, 1.0, 2)
+        budget = abs_tol * width / total
+        if budget > abs_tol * (width / total):
+            break
+    for fine, want in ((budget, True), (np.nextafter(budget, 1.0), False)):
+        ok, _ = quadrature._accepted(np.array([0.0]), np.array([fine]), width,
+                                     total, abs_tol)
+        assert ok == want
+
+
+def test_intervals_below_the_width_floor_are_accepted():
+    coarse, fine = np.array([0.0]), np.array([1.0])
+    floor = 1e-14 * 3.0
+    assert quadrature._accepted(coarse, fine, np.nextafter(floor, 0.0), 3.0,
+                                1e-12)[0]
+    assert not quadrature._accepted(coarse, fine, floor, 3.0, 1e-12)[0]

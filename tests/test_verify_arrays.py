@@ -17,7 +17,7 @@ import pytest
 from minface import expr, gallery, singular, surface, verify
 from minface.curvature import (AxisSamples, axis_curve, closed_k_samples,
                                extrinsic_k_samples, intrinsic_k_samples,
-                               reparametrize, sign_prediction_samples)
+                               sign_prediction_samples)
 from minface.errors import (DegenerateAtPoint, FlatPoint, SingularNeighborhood,
                             SingularPoint)
 from minface.expr import eval_value
@@ -345,7 +345,8 @@ def test_array_helpers_equal_per_point_functions(name):
                      lambda u, v: reference_angle_rate_sign(
                          axis_curve(surf, axis), at(u, v)), flat)
         _assert_same(*s.gauge_rate(), pts,
-                     lambda u, v: reparametrize(surf, axis, at(u, v)).t_s,
+                     lambda u, v: ref.reference_gauge_rate(
+                         axis_curve(surf, axis), at(u, v)),
                      flat)
         _assert_same(s.quartic_root, np.ones(len(pts), bool), pts,
                      lambda u, v: _acc_quartic_root(surf, axis, at(u, v)), ())
