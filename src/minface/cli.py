@@ -118,7 +118,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="run the numerical property battery")
     add_spec(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
 
     sp = sub.add_parser("gallery", help="write a bundled example surface")
     sp.add_argument("--name", required=True, choices=gallery_mod.names())
@@ -139,7 +139,7 @@ def _cmd_singular(args) -> int:
     surface = load_spec(args.spec)
     curves = trace_singular_set(surface, args.grid)
     write_singular_csv(curves, args.out)
-    n = sum(len(c.points) for c in curves)
+    n = sum(c.data.u.size for c in curves)
     print(f"{len(curves)} curve(s), {n} point(s) -> {args.out}")
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -114,11 +115,11 @@ def _singular_body(ops, u, v, g1, g2, w1, w2) -> SingularData:
         a_rate=a_jet.d1, b_rate=b_jet.d1)
 
 
-def _stacked(points: List[SingularData]) -> SingularData:
-    """The points as one SingularData of arrays, padded as _padded pads."""
-    table = np.array([[getattr(p, f.name) for f in fields(SingularData)]
-                      for p in points])
-    return SingularData(*table[_padded(np.arange(len(points)))].T)
+def _rows(records, index):
+    """The records (of floats or of arrays) laid end to end, at index."""
+    return type(records[0])(*(
+        np.hstack([getattr(r, f.name) for r in records])[index]
+        for f in fields(records[0])))
 
 
 def _vanishing_data(u: float, v: float) -> NotSingular:
@@ -206,8 +207,8 @@ def classify_singular(surface: Surface, u: float, v: float,
     a plus sign. Points with g1' = g2' = 0 are DegenerateSingular; surviving
     borderline cases (criteria quantities inside the band) are Unresolved.
     """
-    return _classify_arrays(_stacked([singular_data(surface, u, v)]), tol,
-                            1)[0]
+    sd = _rows([singular_data(surface, u, v)], [0])
+    return _reports(sd, _classify_arrays(sd, tol))[0]
 
 
 def singular_curvature(surface: Surface, u: float, v: float,
@@ -248,7 +249,7 @@ class SingularDirections:
 def directions_at(surface: Surface, u: float, v: float,
                   tol: float = DEFAULT_TOL) -> SingularDirections:
     sd = singular_data(surface, u, v)
-    if not _classify_arrays(_stacked([sd]), tol, 1)[0].is_nondegenerate:
+    if not _classify_arrays(_rows([sd], [0]), tol).is_nondegenerate[0]:
         raise DegenerateSingular(
             f"({u!r}, {v!r}): both data derivatives vanish; the singular "
             "set is not a regular curve here")
@@ -308,18 +309,23 @@ def _twist_sides(surface: Surface, sd: SingularData, fd_step: float = 1e-4):
 
 @dataclass
 class SingularCurve:
-    """One connected polyline of the singular set, with classified points.
+    """One connected polyline of the singular set: the singular data and the
+    classes of its vertices in polyline order, Newton-refined ones included,
+    as arrays. ``residual_max`` is the largest |g1 g2 - 1| over them."""
 
-    ``residual_max`` is the largest |g1 g2 - 1| over the refined vertices.
-    """
-
-    points: List[SingularPointReport]
+    data: SingularData
+    classes: Classified
     residual_max: float
     closed: bool = False
 
+    @cached_property
+    def points(self) -> List[SingularPointReport]:
+        """The report of every vertex, built when first read."""
+        return _reports(self.data, self.classes)
+
     @property
     def coords(self) -> np.ndarray:
-        return np.array([(p.u, p.v) for p in self.points])
+        return np.column_stack([self.data.u, self.data.v])
 
 
 # Array work on edges and vertices runs at lengths rounded up to a multiple
@@ -521,26 +527,20 @@ def trace_singular_set(surface: Surface, grid_n: int = 256,
                 break
             chain.append(nxt[0])
             visited.add(nxt[0])
-        if len(chain) >= 2:
-            curves.append((chain, closed))
-
-    out, places, specials = [], [], []
-    for chain, closed in curves:
+        if len(chain) < 2:
+            continue
         data = _singular_arrays(d, _padded(edge_u[chain]),
                                 _padded(edge_v[chain]))
-        reports = _classify_arrays(data, tol, len(chain))
         found = _special_points(surface, data)
-        places += [(reports, k) for k, _ in found]
-        specials += [sd for _, sd in found]
-        out.append(SingularCurve(reports, max(
-            [float(np.max(np.abs(data.h)))] + [abs(sd.h) for _, sd in found]),
-            closed))
-    # the few Newton-refined vertices of all curves, classified together
-    if specials:
-        for (reports, k), report in zip(places, _classify_arrays(
-                _stacked(specials), tol, len(specials))):
-            reports.insert(k, report)
-    return out
+        # the nodes and, each before the node it precedes, the found points
+        order = np.insert(np.arange(len(chain)), [k for k, _ in found],
+                          len(data.u) + np.arange(len(found)))
+        data = _rows([data] + [sd for _, sd in found], _padded(order))
+        keep = slice(len(order))
+        curves.append(SingularCurve(
+            _rows([data], keep), _rows([_classify_arrays(data, tol)], keep),
+            float(np.max(np.abs(data.h))), closed))
+    return curves
 
 
 _TAG_CODES = (SingularClassification.DEGENERATE,
@@ -548,14 +548,28 @@ _TAG_CODES = (SingularClassification.DEGENERATE,
               SingularClassification.SWALLOWTAIL,
               SingularClassification.CUSPIDAL_CROSS_CAP,
               SingularClassification.UNRESOLVED)
+_EDGE = _TAG_CODES.index(SingularClassification.CUSPIDAL_EDGE)
 _hypot = elementwise(math.hypot, 2)
 
 
+@dataclass(frozen=True)
+class Classified:
+    """The classifier's arrays, one element per point: ``code`` indexes
+    _TAG_CODES, and ``kappa_s`` is NaN wherever the code is no CuspidalEdge."""
+
+    code: np.ndarray
+    is_front: np.ndarray
+    is_nondegenerate: np.ndarray
+    third_sw: np.ndarray
+    third_ccr: np.ndarray
+    kappa_s: np.ndarray
+    lambda_gradient_norm: np.ndarray
+
+
 @np.errstate(all="ignore")
-def _classify_arrays(sd: SingularData, tol: float,
-                     n: int) -> List[SingularPointReport]:
-    """The reports of classify_singular at the first n points of sd, a
-    SingularData of arrays: the decision tree as masks.
+def _classify_arrays(sd: SingularData, tol: float) -> Classified:
+    """classify_singular at every point of sd, a SingularData of arrays: the
+    decision tree as masks.
 
     Raises NotSingular for the first point with |g1 g2 - 1| > tol (1 +
     |g1 g2|).
@@ -579,20 +593,24 @@ def _classify_arrays(sd: SingularData, tol: float,
         np.where(edge_side & (np.abs(third_ccr) > third_band), 3, 4))
     codes[~nondeg] = 0
     # kappa_s = [2 g1' g2' / (w1 w2 (g1 + g2)^2)] / |a + b| on cuspidal edges
-    edge = np.flatnonzero(codes == 1)
-    edge = edge[:np.searchsorted(edge, n)]
-    num = 2.0 * sd.g1p[edge] * sd.g2p[edge] / (
-        sd.w1[edge] * sd.w2[edge] * float_pow(sd.g1[edge] + sd.g2[edge], 2))
-    kappa = [None] * n
-    for k, x in zip(edge.tolist(), (num / np.abs(sd.a_plus_b[edge])).tolist()):
-        kappa[k] = x
-    grad_norm = _hypot(*lambda_gradient_on_singular(sd))
-    return [SingularPointReport(*row) for row in zip(
-        *(x[:n].tolist() for x in (sd.u, sd.v, sd.a, sd.b, sd.a_minus_b,
-                                   sd.a_plus_b, third_sw, third_ccr, front,
-                                   nondeg)),
-        [_TAG_CODES[c] for c in codes[:n].tolist()], kappa,
-        grad_norm[:n].tolist())]
+    edge = codes == _EDGE
+    kappa = np.full(len(codes), np.nan)
+    kappa[edge] = 2.0 * sd.g1p[edge] * sd.g2p[edge] / (
+        sd.w1[edge] * sd.w2[edge] * float_pow(sd.g1[edge] + sd.g2[edge], 2)
+    ) / np.abs(sd.a_plus_b[edge])
+    return Classified(codes, front, nondeg, third_sw, third_ccr, kappa,
+                      _hypot(*lambda_gradient_on_singular(sd)))
+
+
+def _reports(sd: SingularData, cls: Classified) -> List[SingularPointReport]:
+    """The report of every point of sd, classified as cls."""
+    return [SingularPointReport(*row, _TAG_CODES[code],
+                                kappa if code == _EDGE else None, grad)
+            for *row, code, kappa, grad in zip(*(x.tolist() for x in (
+                sd.u, sd.v, sd.a, sd.b, sd.a_minus_b, sd.a_plus_b,
+                cls.third_sw, cls.third_ccr, cls.is_front,
+                cls.is_nondegenerate, cls.code, cls.kappa_s,
+                cls.lambda_gradient_norm)))]
 
 
 def _special_points(surface: Surface,
@@ -600,8 +618,8 @@ def _special_points(surface: Surface,
     """Newton-refined zeros of a + b and a - b between polyline nodes.
 
     data holds the nodes in order, as arrays; copies of the last node may
-    follow. Each zero comes with its index in the polyline once every zero
-    is inserted right after its node, a + b's before a - b's.
+    follow. Each zero comes with the index of the node it precedes, a + b's
+    before a - b's.
     """
     changes = []
     for sign in (1.0, -1.0):  # a + sign*b
@@ -621,7 +639,7 @@ def _special_points(surface: Surface,
                 near_prev = (abs(sd.u - u0) + abs(sd.v - v0)) < 1e-12
                 near_next = (abs(sd.u - u1) + abs(sd.v - v1)) < 1e-12
                 if not near_prev and not near_next:
-                    found.append((k + 1 + len(found), sd))
+                    found.append((k + 1, sd))
     return found
 
 
@@ -660,25 +678,25 @@ def all_reports(curves: List[SingularCurve]) -> List[SingularPointReport]:
     return [p for c in curves for p in c.points]
 
 
-def write_singular_csv(curves_or_reports, destination) -> None:
-    """CSV dump of classified singular points.
+def write_singular_csv(curves: List[SingularCurve], destination) -> None:
+    """CSV dump of the classified vertices of curves.
 
     Columns: u, v, tag, a, b, a_minus_b, a_plus_b, kappa_s, is_front,
     lambda_gradient_norm. kappa_s is empty off cuspidal edges.
     """
-    if curves_or_reports and isinstance(curves_or_reports[0], SingularCurve):
-        reports = all_reports(curves_or_reports)
-    else:
-        reports = list(curves_or_reports)
-
     # the bytes csv.writer writes: no field needs quoting, lines end in CRLF
-    text = "".join(
-        ["u,v,tag,a,b,a_minus_b,a_plus_b,kappa_s,is_front,"
-         "lambda_gradient_norm\r\n"]
-        + ["%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s,%d,%.17g\r\n" % (
-            r.u, r.v, r.tag.value, r.a, r.b, r.a_minus_b, r.a_plus_b,
-            "" if r.kappa_s is None else "%.17g" % r.kappa_s,
-            r.is_front, r.lambda_gradient_norm) for r in reports])
+    rows = ["u,v,tag,a,b,a_minus_b,a_plus_b,kappa_s,is_front,"
+            "lambda_gradient_norm\r\n"]
+    for c in curves:
+        columns = (c.data.u, c.data.v, c.classes.code, c.data.a, c.data.b,
+                   c.data.a_minus_b, c.data.a_plus_b, c.classes.kappa_s,
+                   c.classes.is_front, c.classes.lambda_gradient_norm)
+        rows += ["%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s,%d,%.17g\r\n" % (
+            u, v, _TAG_CODES[code].value, *ab,
+            "%.17g" % kappa if code == _EDGE else "", front, grad)
+            for u, v, code, *ab, kappa, front, grad in zip(
+                *(x.tolist() for x in columns))]
+    text = "".join(rows)
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -716,20 +734,20 @@ def verify_main_theorem(surface: Surface, u: float, v: float,
     with a + b = 0 (swallowtail side) must show K < 0 blowing up as r drops;
     nondegenerate non-front points must show K > 0.
     """
-    return _main_theorem(surface, [u], [v], radii, tol, kappa_exempt)[0]
-
-
-def _main_theorem(surface: Surface, us, vs, radii=(1e-2, 1e-3, 1e-4),
-                  tol: float = DEFAULT_TOL,
-                  kappa_exempt: float = 1e-6) -> List[MainTheoremReport]:
-    """verify_main_theorem at every point (us[k], vs[k]), evaluated all at
-    once; DegenerateSingular names the first point with no transversal."""
-    us, vs = (np.asarray(x, dtype=np.float64) for x in (us, vs))
-    n = len(us)
     sd = _singular_arrays(require_data(surface, "singular analysis"),
-                          _padded(us), _padded(vs))
-    reports = _classify_arrays(sd, tol, n)
-    norm = np.hypot(sd.h_u, sd.h_v)[:n]
+                          *(np.array([t], dtype=np.float64) for t in (u, v)))
+    cls = _classify_arrays(sd, tol)
+    outcome = _main_theorem(surface, sd, cls, radii, kappa_exempt)[0]
+    return MainTheoremReport(_reports(sd, cls)[0], *outcome)
+
+
+def _main_theorem(surface: Surface, sd: SingularData, cls: Classified,
+                  radii=(1e-2, 1e-3, 1e-4), kappa_exempt: float = 1e-6):
+    """The (samples, checks, notes) of verify_main_theorem at every point of
+    sd, classified as cls, evaluated all at once; DegenerateSingular names
+    the first point with no transversal."""
+    us, vs, n = sd.u, sd.v, sd.u.size
+    norm = np.hypot(sd.h_u, sd.h_v)
     if (norm == 0.0).any():
         k = int(np.argmax(norm == 0.0))
         raise DegenerateSingular(f"({us[k].item()!r}, {vs[k].item()!r}): "
@@ -740,26 +758,26 @@ def _main_theorem(surface: Surface, us, vs, radii=(1e-2, 1e-3, 1e-4),
     steps = np.array([side * r for r, side in offsets])
     ks, sampled = extrinsic_k_samples(*(
         AxisSamples(surface, axis, _padded(
-            (t[:, None] + steps * (h[:n] / norm)[:, None]).ravel()))
+            (t[:, None] + steps * (h / norm)[:, None]).ravel()))
         for axis, t, h in (("u", us, sd.h_u), ("v", vs, sd.h_v))))
     ks, sampled = (x[:n * len(steps)].reshape(n, -1) for x in (ks, sampled))
     # each side's columns in order of decreasing r
     by_r = (2 * np.argsort(np.negative(radii), kind="stable")
             + np.array([[0], [1]]))
     out = []
-    for i, report in enumerate(reports):
-        k, got = ks[i], sampled[i]
+    for k, got, code, front, nondeg, kappa in zip(ks, sampled, *(
+            x.tolist() for x in (cls.code, cls.is_front, cls.is_nondegenerate,
+                                 cls.kappa_s))):
         checks, notes = {}, []
-        if report.tag is SingularClassification.CUSPIDAL_EDGE:
-            if abs(report.kappa_s) <= kappa_exempt:
+        if code == _EDGE:
+            if abs(kappa) <= kappa_exempt:
                 notes.append(
                     "kappa_s = %.3e is below the exemption threshold; the "
-                    "curvature sign nearby is not controlled"
-                    % report.kappa_s)
+                    "curvature sign nearby is not controlled" % kappa)
             else:
                 checks["curvature_sign_matches_kappa_s"] = bool(
-                    np.all(~got | ((k > 0) == (report.kappa_s > 0))))
-        elif report.is_front and report.tag in (
+                    np.all(~got | ((k > 0) == (kappa > 0))))
+        elif front and _TAG_CODES[code] in (
                 SingularClassification.SWALLOWTAIL,
                 SingularClassification.UNRESOLVED):
             checks["curvature_negative"] = bool(np.all(~got | (k < 0)))
@@ -767,7 +785,7 @@ def _main_theorem(surface: Surface, us, vs, radii=(1e-2, 1e-3, 1e-4),
             m = np.where(got, np.abs(k), np.nan)[by_r]
             checks["curvature_magnitude_grows"] = bool(np.all(
                 ~(m[:, 1:] <= np.fmax.accumulate(m, axis=1)[:, :-1])))
-        elif not report.is_front and report.is_nondegenerate:
+        elif not front and nondeg:
             checks["curvature_positive"] = bool(np.all(~got | (k > 0)))
         else:
             notes.append("degenerate point: no curvature-sign prediction")
@@ -775,5 +793,5 @@ def _main_theorem(surface: Surface, us, vs, radii=(1e-2, 1e-3, 1e-4),
             offsets, k.tolist(), got.tolist()) if ok]
         if not samples:
             checks["sampled_nearby_curvature"] = False
-        out.append(MainTheoremReport(report, samples, checks, notes))
+        out.append((samples, checks, notes))
     return out

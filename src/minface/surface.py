@@ -56,9 +56,10 @@ class Rect:
     v_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.u_min, self.u_max,
-                                       self.v_min, self.v_max))):
-            raise ValueError("domain rectangle must have finite bounds")
+        # a non-finite bound makes its width non-finite too
+        if not (math.isfinite(self.u_max - self.u_min)
+                and math.isfinite(self.v_max - self.v_min)):
+            raise ValueError("domain bounds and widths must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("domain rectangle must have positive extent")
 
@@ -319,8 +320,9 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
 
     The velocities must be Lorentzian null and nonvanishing; probed on 64
     points per axis, and an error names the first failing point in
-    ascending order. f0 defaults to the true position (phi + psi)/2 at the
-    base parameters so evaluate() agrees with the position expressions.
+    ascending order. The base must lie in the domain, and f0 must be finite:
+    it defaults to the true position (phi + psi)/2 at the base parameters so
+    evaluate() agrees with the position expressions.
     """
     phi = [e if isinstance(e, Expression) else parse(e) for e in phi_exprs]
     psi = [e if isinstance(e, Expression) else parse(e) for e in psi_exprs]
@@ -369,11 +371,14 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
                                    f"<v,v> = {float(q[k])!r}")
 
     base = (float(base[0]), float(base[1]))
-    if f0 is None:
-        f0 = 0.5 * (phi_position(base[0]) + psi_position(base[1]))
+    if not domain.contains(*base):
+        raise InvalidCurveData("base parameters outside the domain")
+    f0 = (0.5 * (phi_position(base[0]) + psi_position(base[1])) if f0 is None
+          else np.asarray(f0, dtype=float))
+    if f0.shape != (3,) or not np.all(np.isfinite(f0)):
+        raise InvalidCurveData("f0 must be a finite 3-vector")
     return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
-                         psi_prime_array, domain, base,
-                         np.asarray(f0, dtype=float), source="curves",
+                         psi_prime_array, domain, base, f0, source="curves",
                          prime_order=2, phi_position=phi_position,
                          psi_position=psi_position)
 

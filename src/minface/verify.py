@@ -24,10 +24,9 @@ from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
 from .errors import DataConversionDegenerate, MinfaceError
 from .expr import eval_array
 from .lorentz import enorm, mdot
-from .singular import (DEFAULT_TOL, SingularClassification, _classify_arrays,
-                       _directions, _hypot, _main_theorem, _padded,
-                       _singular_arrays, _twist_sides, all_reports,
-                       trace_singular_set)
+from .singular import (_EDGE, DEFAULT_TOL, _classify_arrays, _directions,
+                       _hypot, _main_theorem, _padded, _rows,
+                       _singular_arrays, _twist_sides, trace_singular_set)
 from .surface import (RealWeierstrassData, Rect, Surface, _recovered,
                       as_pair, conjugate_data, get_data, normal_samples,
                       require_data)
@@ -242,13 +241,15 @@ def check_data_roundtrip(surface: Surface, n: int = 100,
 
 
 def _traced(surface: Surface, grid_n: int, keep):
-    """The traced reports keep accepts, and the singular data at their
-    points (``singular._singular_arrays``, padded)."""
-    reports = [r for r in all_reports(trace_singular_set(surface, grid_n))
-               if keep(r)]
-    us, vs = (_padded(np.array(x, dtype=np.float64))
-              for x in ([r.u for r in reports], [r.v for r in reports]))
-    return reports, _singular_arrays(get_data(surface), us, vs)
+    """How many traced vertices keep accepts, given the trace's classes, and
+    their singular data and classes, padded as ``singular._padded`` pads."""
+    curves = trace_singular_set(surface, grid_n)
+    if not curves:
+        return 0, None, None
+    cls = _rows([c.classes for c in curves], slice(None))
+    rows = np.flatnonzero(keep(cls))
+    return (len(rows), _rows([c.data for c in curves], _padded(rows)),
+            _rows([cls], _padded(rows)))
 
 
 def check_identities(surface: Surface, grid_n: int = 128,
@@ -260,8 +261,7 @@ def check_identities(surface: Surface, grid_n: int = 128,
     -(w1 w2/2)(a+b)(a-b); also checks that the signed area density changes
     sign across the curve at nondegenerate points.
     """
-    reports, sd = _traced(surface, grid_n, lambda r: r.is_nondegenerate)
-    count = len(reports)
+    count, sd, _ = _traced(surface, grid_n, lambda c: c.is_nondegenerate)
     if count == 0:
         return CheckResult("singular_identities", True, None, 0,
                            "no singular points in domain")
@@ -285,28 +285,21 @@ def check_identities(surface: Surface, grid_n: int = 128,
                        max(worst_det, worst_twist), count, detail)
 
 
-_DUAL_TAG = {
-    SingularClassification.CUSPIDAL_EDGE: SingularClassification.CUSPIDAL_EDGE,
-    SingularClassification.SWALLOWTAIL:
-        SingularClassification.CUSPIDAL_CROSS_CAP,
-    SingularClassification.CUSPIDAL_CROSS_CAP:
-        SingularClassification.SWALLOWTAIL,
-    SingularClassification.DEGENERATE: SingularClassification.DEGENERATE,
-}
+# the conjugate's tag code at each tag code of singular._TAG_CODES, and -1
+# at Unresolved, of which conjugation predicts nothing
+_DUAL_CODE = np.array([0, 1, 3, 2, -1])
 
 
 def check_duality(surface: Surface, grid_n: int = 128) -> CheckResult:
     """Conjugation swaps swallowtails and cross caps, keeps cuspidal edges."""
     conj = conjugate_data(surface)
-    reports, sd = _traced(surface, grid_n, lambda r: r.tag in _DUAL_TAG)
-    count = len(reports)
+    count, sd, cls = _traced(surface, grid_n,
+                             lambda c: _DUAL_CODE[c.code] >= 0)
     if count == 0:
         return CheckResult("duality", True, None, 0,
                            "no singular points in domain")
-    dual = _classify_arrays(_singular_arrays(conj, sd.u, sd.v), DEFAULT_TOL,
-                            count)
-    bad = sum(got.tag is not _DUAL_TAG[rep.tag]
-              for rep, got in zip(reports, dual))
+    dual = _classify_arrays(_singular_arrays(conj, sd.u, sd.v), DEFAULT_TOL)
+    bad = int(np.count_nonzero((_DUAL_CODE[cls.code] != dual.code)[:count]))
     return CheckResult("duality", bad == 0, float(bad), count,
                        f"{bad} tag mismatches")
 
@@ -319,15 +312,12 @@ def check_kappa_zero_locus(surface: Surface, grid_n: int = 128,
     min(|g1'|, |g2'|) < hi and vice versa; the band between lo and hi is
     inconclusive and skipped.
     """
-    reports, sd = _traced(
-        surface, grid_n,
-        lambda r: r.tag is SingularClassification.CUSPIDAL_EDGE)
-    count = len(reports)
+    count, sd, cls = _traced(surface, grid_n, lambda c: c.code == _EDGE)
     if count == 0:
         return CheckResult("kappa_zero_locus", True, None, 0,
                            "no cuspidal edges in domain")
     min_g = np.minimum(np.abs(sd.g1p), np.abs(sd.g2p))
-    k = np.abs(_padded(np.array([r.kappa_s for r in reports])))
+    k = np.abs(cls.kappa_s)
     bad = int(np.count_nonzero((((k < lo) & (min_g > hi))
                                 | ((min_g < lo) & (k > hi)))[:count]))
     return CheckResult("kappa_zero_locus", bad == 0, float(bad), count,
@@ -337,14 +327,13 @@ def check_kappa_zero_locus(surface: Surface, grid_n: int = 128,
 def check_main_theorem(surface: Surface, grid_n: int = 64,
                        max_points: int = 40) -> CheckResult:
     """Curvature sign/divergence predictions near traced singular points."""
-    curves = trace_singular_set(surface, grid_n)
-    reports = [r for r in all_reports(curves) if r.is_nondegenerate]
-    if not reports:
+    count, sd, cls = _traced(surface, grid_n, lambda c: c.is_nondegenerate)
+    if count == 0:
         return CheckResult("main_theorem", True, None, 0,
                            "no singular points in domain")
-    picked = reports[::max(1, len(reports) // max_points)]
-    bad = sum(not outcome.passed for outcome in _main_theorem(
-        surface, [r.u for r in picked], [r.v for r in picked]))
+    picked = np.arange(0, count, max(1, count // max_points))
+    bad = sum(not all(checks.values()) for _, checks, _ in _main_theorem(
+        surface, _rows([sd], picked), _rows([cls], picked)))
     return CheckResult("main_theorem", bad == 0, float(bad), len(picked),
                        f"{bad} failed points")
 
@@ -360,45 +349,31 @@ def check_flat_accumulation(surface: Surface, grid_n: int = 256,
     d = get_data(surface)
     crit_u = _critical_params(d, "u")
     crit_v = _critical_params(d, "v")
-    curves = trace_singular_set(surface, grid_n)
-    traced = [r for r in all_reports(curves) if r.is_nondegenerate]
-    if not traced or (not crit_u and not crit_v):
+    n, sd, cls = _traced(surface, grid_n, lambda c: c.is_nondegenerate)
+    if n == 0 or (not crit_u and not crit_v):
         return CheckResult("flat_accumulation", True, None, 0,
                            "no flat locus meeting the singular set")
-    coords = np.array([(r.u, r.v) for r in traced])
-    bad = 0
-    count = 0
-
-    def nearest(u, v):
-        dist = np.hypot(coords[:, 0] - u, coords[:, 1] - v)
-        k = int(np.argmin(dist))
-        return traced[k], float(dist[k])
-
-    dom = d.domain
-    for r0 in crit_u:
-        for v in np.linspace(dom.v_min, dom.v_max, 101):
-            if any(abs(v - rv) < 1e-6 for rv in crit_v):
-                continue  # that would be umbilic, handled below
-            rep, dist = nearest(r0, v)
-            if dist <= radius:
-                count += 1
-                if rep.tag is not SingularClassification.CUSPIDAL_EDGE:
-                    bad += 1
-    for r0 in crit_v:
-        for u in np.linspace(dom.u_min, dom.u_max, 101):
-            if any(abs(u - ru) < 1e-6 for ru in crit_u):
-                continue
-            rep, dist = nearest(u, r0)
-            if dist <= radius:
-                count += 1
-                if rep.tag is not SingularClassification.CUSPIDAL_EDGE:
-                    bad += 1
-    for ru in crit_u:
-        for rv in crit_v:
-            rep, dist = nearest(ru, rv)
-            if dist <= radius:
-                count += 1
-                bad += 1  # an umbilic point next to a nondegenerate point
+    cu, cv = np.array(crit_u), np.array(crit_v)
+    # the scan points: 101 along each flat line, less the umbilic points
+    # (cu x cv), which come last
+    us, vs = (t[~(np.abs(t[:, None] - c) < 1e-6).any(axis=1)] for t, c in (
+        (np.linspace(d.domain.u_min, d.domain.u_max, 101), cu),
+        (np.linspace(d.domain.v_min, d.domain.v_max, 101), cv)))
+    qu, qv = (np.concatenate([x.ravel() for x in grids]) for grids in zip(
+        *(np.meshgrid(a, b) for a, b in ((cu, vs), (us, cv), (cu, cv)))))
+    umbilic = np.arange(len(qu)) >= len(qu) - len(cu) * len(cv)
+    # the nearest traced point of each scan point, the first of any ties,
+    # 8192 distances (64 KiB) at a time: there may be thousands of scan points
+    u, v, edge = sd.u[:n], sd.v[:n], cls.code[:n] == _EDGE
+    step = max(1, 8192 // n)
+    bad = count = 0
+    for k in range(0, len(qu), step):
+        at = slice(k, k + step)
+        dist = np.hypot(u - qu[at, None], v - qv[at, None])
+        close = dist.min(axis=1) <= radius
+        count += int(np.count_nonzero(close))
+        bad += int(np.count_nonzero(
+            close & (umbilic[at] | ~edge[np.argmin(dist, axis=1)])))
     return CheckResult("flat_accumulation", bad == 0, float(bad), count,
                        f"{bad} violations near {count} close encounters")
 

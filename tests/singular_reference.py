@@ -3,10 +3,11 @@
 The scalar bodies below are the ones ``minface.singular`` ran per point
 before its classifier, directions, twist identity, area density and main
 theorem check became one array formula each: the decision tree on one
-``SingularData`` of floats, and the four trace-based battery checks as loops
-over the traced points. Surface jets and curvature come from the scalar
-references of ``curvature_reference``. The tests compare the library against
-them bit for bit.
+``SingularData`` of floats, the five trace-based battery checks as loops
+over the traced points' reports, and the CSV writer over those reports.
+Surface jets and curvature come from the scalar references of
+``curvature_reference``. The tests compare the library against them bit
+for bit.
 """
 
 import math
@@ -21,8 +22,8 @@ from minface.singular import (DEFAULT_TOL, MainTheoremReport,
                               SingularPointReport, all_reports,
                               lambda_gradient_on_singular, singular_data,
                               trace_singular_set)
-from minface.surface import conjugate_data, require_data
-from minface.verify import CheckResult
+from minface.surface import conjugate_data, get_data, require_data
+from minface.verify import CheckResult, _critical_params
 
 from curvature_reference import reference_gaussian_curvature, reference_jets_at
 
@@ -217,6 +218,72 @@ def reference_kappa_zero_locus(surface, grid_n=128, lo=1e-8, hi=1e-4):
                            "no cuspidal edges in domain")
     return CheckResult("kappa_zero_locus", bad == 0, float(bad), count,
                        f"{bad} mismatches")
+
+
+def reference_flat_accumulation(surface, grid_n=256, radius=1e-2):
+    d = get_data(surface)
+    crit_u = _critical_params(d, "u")
+    crit_v = _critical_params(d, "v")
+    curves = trace_singular_set(surface, grid_n)
+    traced = [r for r in all_reports(curves) if r.is_nondegenerate]
+    if not traced or (not crit_u and not crit_v):
+        return CheckResult("flat_accumulation", True, None, 0,
+                           "no flat locus meeting the singular set")
+    coords = np.array([(r.u, r.v) for r in traced])
+    bad = 0
+    count = 0
+
+    def nearest(u, v):
+        dist = np.hypot(coords[:, 0] - u, coords[:, 1] - v)
+        k = int(np.argmin(dist))
+        return traced[k], float(dist[k])
+
+    dom = d.domain
+    for r0 in crit_u:
+        for v in np.linspace(dom.v_min, dom.v_max, 101):
+            if any(abs(v - rv) < 1e-6 for rv in crit_v):
+                continue  # that would be umbilic, handled below
+            rep, dist = nearest(r0, v)
+            if dist <= radius:
+                count += 1
+                if rep.tag is not SingularClassification.CUSPIDAL_EDGE:
+                    bad += 1
+    for r0 in crit_v:
+        for u in np.linspace(dom.u_min, dom.u_max, 101):
+            if any(abs(u - ru) < 1e-6 for ru in crit_u):
+                continue
+            rep, dist = nearest(u, r0)
+            if dist <= radius:
+                count += 1
+                if rep.tag is not SingularClassification.CUSPIDAL_EDGE:
+                    bad += 1
+    for ru in crit_u:
+        for rv in crit_v:
+            rep, dist = nearest(ru, rv)
+            if dist <= radius:
+                count += 1
+                bad += 1  # an umbilic point next to a nondegenerate point
+    return CheckResult("flat_accumulation", bad == 0, float(bad), count,
+                       f"{bad} violations near {count} close encounters")
+
+
+# --- the CSV, report by report -----------------------------------------------
+
+
+def reference_write_singular_csv(reports, destination):
+    """write_singular_csv as it wrote a list of reports."""
+    text = "".join(
+        ["u,v,tag,a,b,a_minus_b,a_plus_b,kappa_s,is_front,"
+         "lambda_gradient_norm\r\n"]
+        + ["%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%s,%d,%.17g\r\n" % (
+            r.u, r.v, r.tag.value, r.a, r.b, r.a_minus_b, r.a_plus_b,
+            "" if r.kappa_s is None else "%.17g" % r.kappa_s,
+            r.is_front, r.lambda_gradient_norm) for r in reports])
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 # --- the main theorem, point by point ---------------------------------------

@@ -256,6 +256,42 @@ def test_non_finite_domain_exits_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_domain_whose_width_overflows_exits_two(tmp_path, capsys):
+    spec = dict(gallery.spec_dict("enneper"))
+    spec["domain"] = {"u": [-1e308, 1e308], "v": [-3, 3]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad domain:")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("f0", "[Infinity, 0, NaN]", "f0 must be a finite 3-vector"),
+    ("base", "[50, NaN]", "base parameters outside the domain"),
+    ("base", "[50, 0]", "base parameters outside the domain"),
+])
+def test_raw_curve_base_and_f0_are_validated(key, value, message, tmp_path,
+                                             capsys):
+    spec = gallery.spec_dict("kchange")
+    spec[key] = "VALUE"
+    path = tmp_path / "curves.json"
+    # json.dumps writes no NaN or Infinity into a list from a string
+    path.write_text(json.dumps(spec).replace('"VALUE"', value))
+    assert main(["sample", "--spec", str(path), "--nu", "2", "--nv", "2",
+                 "--out", str(tmp_path / "m.obj")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.obj").exists()
+
+
+def test_negative_seed_is_usage_error(spec_dir, capsys):
+    assert main(["verify", "--spec", enneper_spec(spec_dir),
+                 "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "--seed" in err[0]
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 def test_overflowing_literal_in_spec_exits_two(command, tmp_path, capsys):
     spec = dict(gallery.spec_dict("enneper"))

@@ -165,14 +165,19 @@ def test_main_theorem_reports_equal_reference_loop(name):
     """At every nondegenerate point of the grid-64 trace, one point at a
     time and all points in one kernel call."""
     surf = TRACED[name]
-    points = [(r.u, r.v) for r in all_reports(trace_singular_set(surf, 64))
-              if r.is_nondegenerate]
-    want = [reference_main_theorem(surf, u, v) for u, v in points]
-    us, vs = (np.array(x) for x in zip(*points))
-    for got, w in zip(_main_theorem(surf, us, vs), want, strict=True):
+    curves = trace_singular_set(surf, 64)
+    reports = [r for r in all_reports(curves) if r.is_nondegenerate]
+    want = [reference_main_theorem(surf, r.u, r.v) for r in reports]
+    sd, cls = (singular._rows([getattr(c, f) for c in curves], slice(None))
+               for f in ("data", "classes"))
+    rows = np.flatnonzero(cls.is_nondegenerate)
+    got = _main_theorem(surf, singular._rows([sd], rows),
+                        singular._rows([cls], rows))
+    for report, outcome, w in zip(reports, got, want, strict=True):
+        got = singular.MainTheoremReport(report, *outcome)
         assert _same_reports(got, w), (got, w)
-    for (u, v), w in list(zip(points, want))[::4]:
-        assert _same_reports(verify_main_theorem(surf, u, v), w)
+    for r, w in list(zip(reports, want))[::4]:
+        assert _same_reports(verify_main_theorem(surf, r.u, r.v), w)
     assert check_main_theorem(surf) == reference_check_main_theorem(surf)
 
 
@@ -201,11 +206,15 @@ def test_main_theorem_errors_equal_reference():
     for point in ((u, v), (0.5, 0.0)):  # no transversal; not singular
         assert (_outcome(verify_main_theorem, surf, *point)
                 == _outcome(reference_main_theorem, surf, *point))
-    us, vs = np.array([0.5, u, 0.0]), np.array([0.0, v, 0.0])
-    with pytest.raises(Exception) as exc:
-        _main_theorem(surf, us, vs)
-    assert (type(exc.value), str(exc.value)) == _outcome(
-        reference_main_theorem, surf, 0.5, 0.0)
+    # on arrays, the classifier and _main_theorem name the first such point
+    sd = singular._singular_arrays(get_data(surf), np.array([0.5, u, 0.0]),
+                                   np.array([0.0, v, 0.0]))
+    assert _outcome(singular._classify_arrays, sd, singular.DEFAULT_TOL) == (
+        _outcome(reference_main_theorem, surf, 0.5, 0.0))
+    rows = singular._rows([sd], slice(1, 3))
+    assert _outcome(_main_theorem, surf, rows, singular._classify_arrays(
+        rows, singular.DEFAULT_TOL)) == (
+        _outcome(reference_main_theorem, surf, u, v))
 
 
 # --- the data round trip ---------------------------------------------------------

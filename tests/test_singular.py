@@ -1,6 +1,7 @@
 """Singular set: pointwise data, classification, tracing, main-theorem checks."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -26,7 +27,8 @@ from minface.singular import (
     _directions,
     _edge_roots,
     _newton_special,
-    _stacked,
+    _padded,
+    _rows,
     _twist_sides,
     SingularClassification,
     SingularDirections,
@@ -51,7 +53,8 @@ from minface.verify import make_accumulation_data, make_random_poly_data
 from singular_reference import (reference_classify, reference_directions,
                                 reference_is_front, reference_is_nondegenerate,
                                 reference_signed_area_density,
-                                reference_twist, same_bits)
+                                reference_twist,
+                                reference_write_singular_csv, same_bits)
 
 CE = SingularClassification.CUSPIDAL_EDGE
 SW = SingularClassification.SWALLOWTAIL
@@ -274,7 +277,7 @@ def test_csv_round_trip(enneper, tmp_path):
     assert len(lines) == 1 + sum(len(c.points) for c in curves)
     assert any(",Swallowtail," in line for line in lines[1:])
     path = tmp_path / "sing.csv"
-    write_singular_csv(all_reports(curves), path)
+    write_singular_csv(curves, path)
     assert path.read_text().splitlines()[0] == lines[0]
 
 
@@ -297,15 +300,44 @@ def reference_singular_csv(reports) -> str:
 @pytest.mark.parametrize("name", ["enneper", "enneper-conj",
                                   "ce-quasiumbilic", "unresolved"])
 def test_csv_matches_per_row_writer(name, tmp_path):
-    reports = all_reports(trace_singular_set(_trace_surface(name), 64))
-    want = reference_singular_csv(reports)
+    curves = trace_singular_set(_trace_surface(name), 64)
+    want = reference_singular_csv(all_reports(curves))
     assert "\r\n" in want
     path = tmp_path / "sing.csv"
-    write_singular_csv(reports, path)
+    write_singular_csv(curves, path)
     assert path.read_bytes() == want.encode("utf-8")
     buf = io.StringIO(newline="")
-    write_singular_csv(reports, buf)
+    write_singular_csv(curves, buf)
     assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("name, grid_n", [
+    ("enneper", 128), ("enneper-conj", 128), ("ce-quasiumbilic", 128),
+    ("poly-seed1", 128), ("poly-seed4", 128), ("poly-seed5", 64),
+    ("poly-seed7", 128), ("accumulation-seed0", 128),
+    ("accumulation-seed1", 256), ("cross-seed0", 512), ("unresolved", 64),
+    ("degenerate-line", 64)])
+def test_csv_equals_report_writer(name, grid_n):
+    """The columns give the bytes the report writer gives: kappa_s is empty
+    exactly off cuspidal edges, Newton-refined rows sit in polyline order."""
+    curves = trace_singular_set(_trace_surface(name), grid_n)
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    write_singular_csv(curves, got)
+    reference_write_singular_csv(all_reports(curves), want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_curve_columns_and_reports(enneper):
+    curves = trace_singular_set(enneper, 64)
+    for c in curves:
+        n = len(c.points)
+        assert c.points is c.points  # built once
+        assert all(len(getattr(c.data, f.name)) == n
+                   for f in dataclasses.fields(c.data))
+        assert all(len(getattr(c.classes, f.name)) == n
+                   for f in dataclasses.fields(c.classes))
+        assert c.coords.tolist() == [[r.u, r.v] for r in c.points]
+    assert all_reports(curves) == curves[0].points + curves[1].points
 
 
 def cross_data(seed):
@@ -450,7 +482,8 @@ def test_array_formulas_equal_references_at_every_traced_point(name):
     surface = _trace_surface(name)
     reports = [r for r in all_reports(trace_singular_set(surface, 128))
                if r.is_nondegenerate]
-    sd = _stacked([singular_data(surface, r.u, r.v) for r in reports])
+    sd = _rows([singular_data(surface, r.u, r.v) for r in reports],
+               _padded(np.arange(len(reports))))
     dirs = _directions(sd)
     lhs, rhs = _twist_sides(surface, sd)
     for k, r in enumerate(reports):

@@ -71,6 +71,13 @@ def test_rect_rejects_non_finite_bounds(bounds):
         Rect(*bounds)
 
 
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308, 0.0, 1.0),
+                                    (0.0, 1.0, -1e308, 1e308)])
+def test_rect_rejects_a_width_that_overflows(bounds):
+    with pytest.raises(ValueError):
+        Rect(*bounds)
+
+
 def test_large_integrand_matches_antiderivative():
     # phi' = (-1 - e^(2u), 1 - e^(2u), 2 e^u) reaches 2.6e10 at u = 12, where
     # an absolute tolerance alone cannot be met in floating point.
@@ -189,6 +196,23 @@ def test_curve_mode_checks_psi_after_phi():
                                        Rect(-1, 1, -1, 1))
     assert str(exc.value) == "psi' is not null at parameter -1.0: " \
         "<v,v> = -0.75"
+
+
+KCHANGE_CURVES = (("u+u^5/5", "2/3*u^3", "u-u^5/5"),
+                  ("-v-v^5/5", "2/3*v^3", "v-v^5/5"))
+
+
+@pytest.mark.parametrize("base, f0, message", [
+    ((0.0, 0.0), (math.inf, 0.0, math.nan), "f0 must be a finite 3-vector"),
+    ((0.0, 0.0), (0.0, 0.0), "f0 must be a finite 3-vector"),
+    ((1.0, math.nan), None, "base parameters outside the domain"),
+    ((50.0, 0.0), None, "base parameters outside the domain"),
+])
+def test_curve_mode_validates_base_and_f0(base, f0, message):
+    with pytest.raises(InvalidCurveData) as exc:
+        pair_from_position_expressions(*KCHANGE_CURVES, Rect(-2, 2, -2, 2),
+                                       base, f0)
+    assert str(exc.value) == message
 
 
 def test_curve_mode_position_matches_expressions(kchange, rng):

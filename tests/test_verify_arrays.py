@@ -7,14 +7,16 @@ own formulas). The vectorized check must return an equal CheckResult: the
 same points, skips, counts and worst errors, bit for bit.
 """
 
+import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minface import expr, gallery, singular, surface, verify
+from minface import cli, expr, gallery, singular, surface, verify
 from minface.curvature import (AxisSamples, axis_curve, closed_k_samples,
                                extrinsic_k_samples, intrinsic_k_samples,
                                sign_prediction_samples)
@@ -23,20 +25,26 @@ from minface.errors import (DegenerateAtPoint, FlatPoint, SingularNeighborhood,
 from minface.expr import eval_value
 from minface.lorentz import enorm, mdot
 from minface.mesh import sample_grid
-from minface.surface import as_pair, get_data
+from minface.singular import trace_singular_set
+from minface.surface import RealWeierstrassData, Rect, as_pair, get_data
 from minface.verify import (CheckResult, check_curvature_routes,
                             check_duality, check_energy_gauge,
-                            check_identities, check_kappa_zero_locus,
+                            check_flat_accumulation, check_identities,
+                            check_kappa_zero_locus, check_main_theorem,
                             check_milnor, check_minimality,
                             check_null_generators, check_sign_theorem,
                             make_accumulation_data, make_random_poly_data,
-                            sample_regular_points)
+                            run_battery, sample_regular_points)
 
 import curvature_reference as ref
+import singular_reference
 from curvature_reference import (reference_angle_rate_sign,
                                  reference_gaussian_curvature,
                                  reference_sign_prediction)
-from singular_reference import (reference_duality, reference_identities,
+from singular_reference import (reference_check_main_theorem,
+                                reference_duality,
+                                reference_flat_accumulation,
+                                reference_identities,
                                 reference_kappa_zero_locus)
 
 SURFACES = {name: gallery.get(name) for name in gallery.names()}
@@ -213,7 +221,17 @@ TRACE_CHECKS = [
     (check_identities, reference_identities),
     (check_duality, reference_duality),
     (check_kappa_zero_locus, reference_kappa_zero_locus),
+    (check_main_theorem, reference_check_main_theorem),
+    (check_flat_accumulation, reference_flat_accumulation),
 ]
+
+
+def umbilic_ring():
+    """A singular circle of radius about 0.003 around the umbilic point
+    (0, 0): the flat lines u = 0 and v = 0 cross it, and the umbilic point
+    lies within flat_accumulation's radius of it."""
+    return RealWeierstrassData.from_strings("1+u^2", "0.99999+v^2", "1", "1",
+                                            Rect(-0.1, 0.1, -0.1, 0.1))
 
 
 # the Weierstrass gallery surfaces, and generated ones whose singular set
@@ -223,6 +241,7 @@ TRACED = {name: SURFACES[name] for name in ("enneper", "enneper-conj",
                                             "acc-8", "poly-29", "poly-41")}
 TRACED.update({f"poly-{s}": make_random_poly_data(np.random.default_rng(s))
                for s in (4, 7)})
+TRACED["umbilic-ring"] = umbilic_ring()
 
 
 @pytest.mark.parametrize("name", sorted(TRACED))
@@ -231,7 +250,20 @@ def test_trace_checks_equal_per_point_loops(name):
     for check, reference in TRACE_CHECKS:
         got, want = check(surf), reference(surf)
         assert got == want, (check.__name__, got, want)
-        assert got.count > 0 and type(got.max_error) is float
+        # flat_accumulation needs a flat line that meets the singular set
+        if check is not check_flat_accumulation:
+            assert got.count > 0 and type(got.max_error) is float
+
+
+@pytest.mark.parametrize("name, encounters, violations", [
+    ("ce-quasiumbilic", 1, 0), ("acc-5", 1, 0), ("acc-8", 1, 0),
+    ("poly-7", 1, 0), ("umbilic-ring", 25, 1)])
+def test_flat_accumulation_reaches_its_close_encounters(name, encounters,
+                                                        violations):
+    # flat lines along u (acc, poly-7), along v (ce-quasiumbilic) and both,
+    # with the umbilic point next to the singular set (umbilic-ring)
+    got = check_flat_accumulation(TRACED[name])
+    assert (got.count, got.max_error) == (encounters, float(violations))
 
 
 def test_trace_checks_without_singular_points_equal_per_point_loops():
@@ -362,12 +394,7 @@ def _count_scalar_calls(monkeypatch):
         def counted(*args, _fn=original, **kwargs):
             counts["calls"] += 1
             return _fn(*args, **kwargs)
-        for mod in list(sys.modules.values()):
-            name = getattr(mod, "__name__", "") or ""
-            if name == "minface" or name.startswith("minface."):
-                for attr, val in list(vars(mod).items()):
-                    if val is original:
-                        monkeypatch.setattr(mod, attr, counted)
+        _patch_everywhere(monkeypatch, original, counted)
     return counts
 
 
@@ -390,9 +417,56 @@ def test_vectorized_checks_make_no_per_point_scalar_calls(name, monkeypatch):
     assert counts["calls"] > per_n[1]
 
 
+def test_flat_accumulation_with_many_flat_lines_equals_per_point_loop():
+    # g2' vanishes identically, so every v-node of the scan is a flat line
+    # (257 of them, and 257 umbilic points); the singular set is the two
+    # lines u = +-0.007 next to the flat line u = 0
+    surf = RealWeierstrassData.from_strings("u^2+0.499951", "2", "1", "1",
+                                            Rect(-1, 1, -1, 1))
+    tracemalloc.start()
+    try:
+        got = check_flat_accumulation(surf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_flat_accumulation(surf)
+    assert (got.count, got.max_error) == (353, 257.0)
+    # about 26,000 scan points and 514 traced points: the distances are
+    # computed a block at a time, not as one 100 MB matrix
+    assert peak < 16e6
+
+
+def _curve(points):
+    """A SingularCurve through the (u, v, tag code) points, all of them
+    nondegenerate; its other columns are zeros."""
+    u, v, code = (np.array(x) for x in zip(*points))
+    zeros = np.zeros(len(u))
+    return singular.SingularCurve(
+        singular.SingularData(u, v, *[zeros] * 13),
+        singular.Classified(code, zeros > 0, zeros == 0, zeros, zeros, zeros,
+                            zeros), 0.0)
+
+
+# two traced points at 0.005 from the scan point (0, 0) of the flat line
+# u = 0: the first of them decides; a third lies far away
+@pytest.mark.parametrize("points, violations", [
+    ([(-0.005, 0.0, 1), (0.005, 0.0, 2), (0.9, 0.9, 2)], 0),
+    ([(-0.005, 0.0, 2), (0.005, 0.0, 1), (0.9, 0.9, 1)], 1)])
+def test_flat_accumulation_takes_the_first_nearest_point(points, violations,
+                                                         monkeypatch):
+    surf = RealWeierstrassData.from_strings("1+u^2", "2+v", "1", "1",
+                                            Rect(-1, 1, -1, 1))
+    curves = [_curve(points)]
+    for mod in (verify, singular_reference):
+        monkeypatch.setattr(mod, "trace_singular_set", lambda s, g: curves)
+    got = check_flat_accumulation(surf)
+    assert got == reference_flat_accumulation(surf)
+    assert (got.count, got.max_error) == (1, float(violations))
+
+
 @pytest.mark.parametrize("name", ["enneper", "enneper-conj", "poly-29"])
 def test_trace_checks_make_no_per_point_calls(name, monkeypatch):
-    """Past their trace, the three checks evaluate no single point."""
+    """Past their trace, the first four checks evaluate no single point."""
     surf = TRACED[name]
     curves = verify.trace_singular_set(surf, 128)
     monkeypatch.setattr(verify, "trace_singular_set",
@@ -404,12 +478,9 @@ def test_trace_checks_make_no_per_point_calls(name, monkeypatch):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "") or "").startswith("minface"):
-                for attr, val in list(vars(mod).items()):
-                    if val is fn:
-                        monkeypatch.setattr(mod, attr, counted)
-    for check, _ in TRACE_CHECKS:
+        _patch_everywhere(monkeypatch, fn, counted)
+    # flat_accumulation's _critical_params bisects on scalar jets
+    for check, _ in TRACE_CHECKS[:4]:
         assert check(surf).count > 0
     assert calls == Counter()
     # the counter sees per-point calls
@@ -418,14 +489,83 @@ def test_trace_checks_make_no_per_point_calls(name, monkeypatch):
     assert calls["singular_data"] == 1
 
 
-def _generated(kind):
-    """The seed-0 spec of a benchmark generator kind, loaded."""
+@pytest.mark.parametrize("name", ["enneper", "cross"])
+def test_battery_and_singular_command_build_no_reports(name, monkeypatch,
+                                                        tmp_path):
+    surf = SURFACES.get(name) or _generated(name)
+    built = Counter()
+    init = singular.SingularPointReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built["reports"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(singular.SingularPointReport, "__init__", counted)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_generated_doc(name)))
+    assert cli.main(["singular", "--spec", str(spec), "--grid", "128",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert all(r.passed for r in run_battery(surf))
+    assert built == Counter()
+    # the counter sees reports
+    trace_singular_set(surf, 64)[0].points
+    assert built["reports"] > 0
+
+
+@pytest.mark.parametrize("name", ["enneper", "enneper-conj", "poly-29",
+                                  "umbilic-ring", "cross"])
+def test_trace_checks_evaluate_nothing_past_their_traces(name, monkeypatch):
+    """Past their traces, the five checks evaluate and classify no singular
+    data, except check_duality's classification of the conjugate."""
+    surf = TRACED.get(name) or _generated(name)
+    calls = Counter()
+    inside = []
+    for fn in (singular._singular_arrays, singular._classify_arrays,
+               singular.trace_singular_set):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__, bool(inside)] += 1
+            inside.append(_fn)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        _patch_everywhere(monkeypatch, fn, counted)
+    for check, _ in TRACE_CHECKS:
+        calls.clear()
+        check(surf)
+        outside = {k: n for (k, nested), n in calls.items() if not nested}
+        want = {"trace_singular_set": 1}
+        if check is check_duality:
+            want.update(_singular_arrays=1, _classify_arrays=1)
+        assert outside == want, check.__name__
+        assert calls["_classify_arrays", True] > 0
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Replace fn at every binding of it in the minface modules."""
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "") or "").startswith("minface"):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _generated_doc(name):
+    """The shipped gallery description of name, or the seed-0 spec of the
+    benchmark generator kind name."""
+    if name in gallery.names():
+        return gallery.spec_dict(name)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import specgen
     finally:
         sys.path.pop(0)
-    return surface.surface_from_dict(specgen.make_spec(kind, 0, 0, 0).doc)
+    return specgen.make_spec(name, 0, 0, 0).doc
+
+
+def _generated(kind):
+    """The seed-0 spec of a benchmark generator kind, loaded."""
+    return surface.surface_from_dict(_generated_doc(kind))
 
 
 @pytest.mark.parametrize("name", ["enneper", "kchange", "cross", "regular"])
@@ -439,11 +579,7 @@ def test_each_expression_is_evaluated_once_per_parameter_array(name,
         calls[id(e), np.asarray(ts, dtype=np.float64).tobytes()] += 1
         return original(e, ts)
 
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "") or "").startswith("minface"):
-            for attr, val in list(vars(mod).items()):
-                if val is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     runs = [lambda: sample_grid(surf, 16, 16),
             lambda: sample_regular_points(surf, 100,
                                           np.random.default_rng(1))]

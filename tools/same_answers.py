@@ -16,6 +16,8 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
   (at 32x32, 64x64 and 2x2 every grid point lies on a node of the position
   integrals' ladder; at 24x20 most do not, so the tail integrals are
   compared too);
+* ``gallery --name N`` for each bundled name N: stdout and the files it
+  writes (the description, the 64x64 OBJ and the grid-256 singular CSV);
 * then ``classify --u=U --v=V``: stdout, at the first, middle and last
   points of PARENT_REV's ``singular`` CSV of each surface that has one
   (``%.17g`` round-trips, so both trees classify the same points);
@@ -88,6 +90,8 @@ def jobs(spec_dir: Path):
                   "--out", f"{name}.{nu}x{nv}.obj",
                   "--fields", f"{name}.{nu}x{nv}.csv"])
                 for nu, nv in ((32, 32), (64, 64), (24, 20), (2, 2))]
+    out += [(f"gallery-{name}", ["gallery", "--name", name, "--out", "."])
+            for name in specgen.GALLERY]
     return out
 
 
