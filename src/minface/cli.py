@@ -127,11 +127,18 @@ def build_parser() -> _Parser:
 
 
 def _cmd_sample(args) -> int:
+    if args.fields and (os.path.realpath(args.fields)
+                        == os.path.realpath(args.out)):
+        raise _UsageError("--out and --fields name the same file")
     surface = load_spec(args.spec)
     mesh = sample_grid(surface, args.nu, args.nv)
     export_obj(mesh, args.out)
     if args.fields:
-        export_fields_csv(mesh, args.fields)
+        try:
+            export_fields_csv(mesh, args.fields)
+        except OSError:
+            os.remove(args.out)  # no OBJ without the fields asked for
+            raise
     return 0
 
 
@@ -226,11 +233,10 @@ def _parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except _PARSE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import (DegenerateAtPoint, FlatPoint, SingularPoint,
                      SingularNeighborhood)
 from .expr import eval_array, eval_jet
-from .jets import SCALAR_OPS, Jet3, elementwise, float_pow, lift_variable
+from .jets import (SCALAR_OPS, Jet3, elementwise, float_pow, lift_variable,
+                   shift_derivative)
 from .lorentz import det3, enorm, mdot, vec3
 from .surface import (REGULAR_TOL, Surface, SurfaceJet, _phi_jets,
                       _prime_array, _psi_jets, as_pair, get_data,
@@ -84,7 +85,9 @@ class AxisSamples:
 
     Evaluates once the data jets g and w (g1, w1 on axis u; None on a raw
     curve pair) and the velocity, acceleration and jerk; the per-axis
-    arrays below derive from them on first use. A float ts is evaluated
+    arrays below derive from them on first use. On a raw curve pair
+    ``position`` holds the curve's position, the value slot of the jets the
+    velocity is shifted from (None otherwise). A float ts is evaluated
     through the scalar jet closures, an array through ``eval_array``; each
     array element equals the float record at that parameter bit for bit,
     and every attribute and formula below runs unchanged on both. ts may
@@ -98,29 +101,31 @@ class AxisSamples:
         self.surface, self.axis = surface, axis
         self.ts = np.asarray(ts, dtype=np.float64)
         one = self.ts.ndim == 0
+        t = self.ts.item() if one else self.ts
+        x, jet_of = (lift_variable(t), eval_jet) if one else (t, eval_array)
+        # np.array is the cheap way to one 3-vector
+        stack = np.array if one else (lambda x: np.stack(x, axis=-1))
         d = get_data(surface)
-        if d is None:
-            pair = as_pair(surface)
-            self.g = self.w = None
+        pair = as_pair(surface)
+        self.g = self.w = self.position = None
+        if d is not None:
+            exprs = (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)
+            self.g, self.w = (jet_of(e, x) for e in exprs)
+            jets = ((_phi_jets if axis == "u" else _psi_jets)(
+                SCALAR_OPS, self.g, self.w) if one
+                else _prime_array(axis, self.g, self.w))
+        elif pair.position_exprs is not None:
+            found = [jet_of(e, x) for e in pair.position_exprs[axis == "v"]]
+            self.position = stack([j.value for j in found])
+            jets = [shift_derivative(j) for j in found]
+        else:
             if axis == "u":
                 prime = pair.phi_prime if one else pair.phi_prime_array
             else:
                 prime = pair.psi_prime if one else pair.psi_prime_array
-            jets = prime(self.ts.item() if one else self.ts)
-        else:
-            exprs = (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)
-            if one:
-                x = lift_variable(self.ts.item())
-                self.g, self.w = (eval_jet(e, x) for e in exprs)
-                jets = (_phi_jets if axis == "u" else _psi_jets)(
-                    SCALAR_OPS, self.g, self.w)
-            else:
-                self.g, self.w = (eval_array(e, self.ts) for e in exprs)
-                jets = _prime_array(axis, self.g, self.w)
-        # np.array is the cheap way to one 3-vector
+            jets = prime(t)
         self.vel, self.acc, self.jerk = (
-            np.array(x) if one else np.stack(x, axis=-1)
-            for x in zip(*(j.as_tuple()[:3] for j in jets)))
+            stack(x) for x in zip(*(j.as_tuple()[:3] for j in jets)))
 
     def shifted(self, step: float) -> "AxisSamples":
         """The record at ts + step."""
@@ -184,6 +189,8 @@ def gathered(parts, index) -> AxisSamples:
     out = object.__new__(AxisSamples)
     out.surface, out.axis = parts[0].surface, parts[0].axis
     out.ts, out.g, out.w = pick([p.ts for p in parts]), jet("g"), jet("w")
+    out.position = (None if parts[0].position is None
+                    else pick([p.position for p in parts]))
     out.vel, out.acc, out.jerk = (pick([getattr(p, name) for p in parts])
                                   for name in ("vel", "acc", "jerk"))
     return out

@@ -11,12 +11,14 @@ and the vertex fields are two-variable formulas broadcast over the records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .curvature import (AxisSamples, area_density_samples, closed_k_samples,
                         extrinsic_k_samples, lambda_samples, regular_samples)
+from .errors import MinfaceError
 from .surface import Surface, as_pair
 
 # A vertex counts as singular (its K cell is left absent) when the proximity
@@ -35,7 +37,8 @@ class SurfaceMesh:
     the singular band, ``area_density`` is None throughout for raw curve
     pairs (it needs the data functions). ``proxies`` is |g1 g2 - 1| when data
     functions exist and |Lambda| otherwise; both vanish exactly on the
-    singular set. Arrays are not to be mutated.
+    singular set. Arrays are not to be mutated: the exports format the
+    coordinates once, on first use, and keep the strings.
     """
 
     params: np.ndarray     # (N, 2) of (u, v)
@@ -49,6 +52,12 @@ class SurfaceMesh:
     nv: int
     singular_polylines: tuple = ()
 
+    @cached_property
+    def _xyz(self) -> list:
+        """Each vertex's coordinates as one "x0,x1,x2" string (%.17g)."""
+        return ("%.17g,%.17g,%.17g\n" * len(self.positions)
+                % tuple(self.positions.ravel().tolist())).splitlines()
+
 
 def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
     """Row-major tuple of the values, with None where keep is false."""
@@ -60,8 +69,9 @@ def _cells(values: np.ndarray, keep: np.ndarray) -> tuple:
 def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     """Sample a surface on an (nu+1) x (nv+1) grid of its domain rectangle.
 
-    Positions come from the curve integrals, cached once per axis. The K
-    cell is withheld (None) where the singular proxy is at most
+    Positions come from one call per axis (``NullCurvePair.axis_deltas``)
+    on the axis records, which evaluate each curve once. The K cell is
+    withheld (None) where the singular proxy is at most
     MESH_SINGULAR_TOL, and the flat tag likewise (flatness is undefined on
     the singular set). Values agree with the per-point functions
     (gaussian_curvature, flat_classify, signed_area_density) at each vertex.
@@ -71,12 +81,20 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
     pair = as_pair(d)
     us = pair.domain.u_grid(nu + 1)
     vs = pair.domain.v_grid(nv + 1)
-    # positions split into per-axis curve integrals, so sample each axis once
-    phi = np.array([pair.phi_delta(u) for u in us])
-    psi = np.array([pair.psi_delta(v) for v in vs])
-    positions = 0.5 * (phi[:, None, :] + psi[None, :, :]) + pair.f0
+    try:
+        su = AxisSamples(d, "u", us[:, None])
+        sv = AxisSamples(d, "v", vs[None, :])
+    except MinfaceError:
+        # the positions come first: raise what querying them point by point
+        # raises, if anything, before the records' error
+        for u in us:
+            pair.phi_delta(u)
+        for v in vs:
+            pair.psi_delta(v)
+        raise
+    # the records broadcast: (nu+1, 1, 3) + (1, nv+1, 3)
+    positions = 0.5 * (pair.axis_deltas(su) + pair.axis_deltas(sv)) + pair.f0
     params = np.column_stack([np.repeat(us, nv + 1), np.tile(vs, nu + 1)])
-    su, sv = AxisSamples(d, "u", us[:, None]), AxisSamples(d, "v", vs[None, :])
     tags = su.flat().astype(int) + sv.flat()
     if su.g is not None:
         with np.errstate(all="ignore"):
@@ -97,19 +115,23 @@ def sample_grid(d: Surface, nu: int, nv: int) -> SurfaceMesh:
                        proxies.ravel(), faces.reshape(-1, 3), nu, nv)
 
 
-def _write_text(destination, text: str) -> None:
+def _write_text(destination, *parts: str) -> None:
+    """Write the parts, in order, to a path or a file object."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        for part in parts:
+            destination.write(part)
     else:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
 
 
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ with full-precision vertices and 1-based face indices."""
-    _write_text(path, "".join(
-        ["v %.17g %.17g %.17g\n" % tuple(x) for x in m.positions.tolist()]
-        + ["f %d %d %d\n" % tuple(f) for f in (m.faces + 1).tolist()]))
+    _write_text(path,
+                ("v %s\n" * len(m._xyz) % tuple(m._xyz)).replace(",", " "),
+                "f %d %d %d\n" * len(m.faces)
+                % tuple((m.faces + 1).ravel().tolist()))
 
 
 def export_fields_csv(m: SurfaceMesh, path) -> None:
@@ -124,11 +146,13 @@ def export_fields_csv(m: SurfaceMesh, path) -> None:
     def cell(x) -> str:
         return "" if x is None else "%.17g" % x
 
-    rows = zip(m.params.tolist(), m.positions.tolist(), m.k_values,
+    # u and v formatted once per axis value: vertex (i, j) is (us[i], vs[j])
+    us = ["%.17g," % u for u in m.params[::m.nv + 1, 0].tolist()]
+    vs = ["%.17g," % v for v in m.params[:m.nv + 1, 1].tolist()]
+    rows = zip([u + v for u in us for v in vs], m._xyz, m.k_values,
                m.area_density, m.flat_tags, m.proxies.tolist())
-    _write_text(path, "".join(
-        ["u,v,x0,x1,x2,K,lambda,flat_tag,sing_proxy\r\n"]
-        + ["%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%.17g\r\n"
-           % (u, v, x[0], x[1], x[2], cell(k), cell(lam),
-              "" if tag is None else tag, proxy)
-           for (u, v), x, k, lam, tag, proxy in rows]))
+    _write_text(path, "u,v,x0,x1,x2,K,lambda,flat_tag,sing_proxy\r\n",
+                "".join(["%s%s,%s,%s,%s,%.17g\r\n"
+                         % (uv, x, cell(k), cell(lam),
+                            "" if tag is None else tag, proxy)
+                         for uv, x, k, lam, tag, proxy in rows]))

@@ -12,7 +12,8 @@ returning.
 Surface evaluation integrates the same two curve derivatives again and again
 from a fixed base parameter, so PrefixIntegral caches cumulative integrals at
 a ladder of node points: a query only ever integrates the short tail from the
-nearest cached node. The ladder is built from one array evaluation of the
+nearest cached node, and an array query of points on nodes integrates
+nothing. The ladder is built from one array evaluation of the
 Gauss nodes of all its segments (in chunks of at most _CHUNK points), with
 the first level of ``adaptive_quad`` run as vector operations in its own
 order, so every segment gets the same bits as ``adaptive_quad`` gives it;
@@ -132,7 +133,7 @@ class PrefixIntegral:
 
     ``fn_array(ts)`` returns fn at every point of a 1-D array ts, stacked
     along a leading axis, each row bit-identical to fn at that point; the
-    ladder is built from it. A query takes one float.
+    ladder is built from it. A call queries one float, ``at`` an array.
     """
 
     def __init__(self, fn, t0: float, lo: float, hi: float, fn_array,
@@ -200,14 +201,36 @@ class PrefixIntegral:
         self._cum = np.concatenate([cum_down[:0:-1], cum_up]).reshape(
             (len(nodes),) + probe.shape)
 
+    def _nearest(self, t):
+        """Index of the ladder node nearest t (the lower one on a tie), for
+        a float or elementwise for an array."""
+        nodes = self.nodes
+        i = np.clip(np.searchsorted(nodes, t) - 1, 0, len(nodes) - 2)
+        return np.where(np.abs(t - nodes[i + 1]) < np.abs(t - nodes[i]),
+                        i + 1, i)
+
     def __call__(self, t: float):
         if self._cum is None:
             self._build()
         t = float(t)
-        i = int(np.clip(np.searchsorted(self.nodes, t) - 1, 0,
-                        len(self.nodes) - 2))
-        # Integrate only the short tail from the nearest node at or below t.
-        if abs(t - self.nodes[i + 1]) < abs(t - self.nodes[i]):
-            i = i + 1
+        i = int(self._nearest(t))
+        # Integrate only the short tail from the nearest node.
         tail = adaptive_quad(self.fn, self.nodes[i], t, self.abs_tol)
         return self._cum[i] + tail
+
+    def at(self, ts, values) -> np.ndarray:
+        """self(t) at every element of ts, stacked along ts's shape.
+
+        values holds fn at every t, stacked the same way: the caller has
+        already evaluated them. A t on a ladder node reads its cumulative
+        row plus values * 0.0, the zero-length tail self(t) adds, and
+        evaluates nothing; any other t is self(t).
+        """
+        if self._cum is None:
+            self._build()
+        ts = np.asarray(ts, dtype=float)
+        i = self._nearest(ts)
+        out = self._cum[i] + np.asarray(values, dtype=float) * 0.0
+        for k in zip(*np.nonzero(ts != self.nodes[i])):
+            out[k] = self(ts[k])
+        return out

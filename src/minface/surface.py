@@ -159,7 +159,9 @@ class NullCurvePair:
     Weierstrass mode; 2 for raw position expressions, whose shifted jets fill
     the top slot with 0). ``phi_prime_array(us)`` returns the same jets at
     every element of an array, as jets of arrays, each element bit-identical
-    to ``phi_prime`` at that element.
+    to ``phi_prime`` at that element. A raw curve pair keeps its position
+    expressions, three per curve, in ``position_exprs``; its positions are
+    read from them, not integrated.
     """
 
     phi_prime: Callable[[float], tuple]
@@ -173,10 +175,8 @@ class NullCurvePair:
     prime_order: int = 3
     _data: Optional[weakref.ref] = field(default=None, repr=False,
                                          compare=False)
-    phi_position: Optional[Callable[[float], np.ndarray]] = None
-    psi_position: Optional[Callable[[float], np.ndarray]] = None
-    _phi_prefix: Optional[PrefixIntegral] = field(default=None, repr=False)
-    _psi_prefix: Optional[PrefixIntegral] = field(default=None, repr=False)
+    position_exprs: Optional[tuple] = None  # (phi's, psi's)
+    _prefixes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def data(self) -> Optional[RealWeierstrassData]:
@@ -197,24 +197,47 @@ class NullCurvePair:
 
     def phi_delta(self, u: float) -> np.ndarray:
         """Integral of phi' from the base u to u."""
-        if self.phi_position is not None:
-            return self.phi_position(u) - self.phi_position(self.base[0])
-        if self._phi_prefix is None:
-            self._phi_prefix = PrefixIntegral(
-                _values(self.phi_prime), self.base[0], self.domain.u_min,
-                self.domain.u_max, _values(self.phi_prime_array),
-                abs_tol=QUAD_TOL)
-        return self._phi_prefix(u)
+        return self._delta("u", u)
 
     def psi_delta(self, v: float) -> np.ndarray:
-        if self.psi_position is not None:
-            return self.psi_position(v) - self.psi_position(self.base[1])
-        if self._psi_prefix is None:
-            self._psi_prefix = PrefixIntegral(
-                _values(self.psi_prime), self.base[1], self.domain.v_min,
-                self.domain.v_max, _values(self.psi_prime_array),
-                abs_tol=QUAD_TOL)
-        return self._psi_prefix(v)
+        return self._delta("v", v)
+
+    def _delta(self, axis: str, t: float) -> np.ndarray:
+        if self.position_exprs is not None:
+            k = axis == "v"
+            return (_position(self.position_exprs[k], t)
+                    - _position(self.position_exprs[k], self.base[k]))
+        return self._prefix(axis)(t)
+
+    def axis_deltas(self, rec) -> np.ndarray:
+        """phi_delta (axis u) or psi_delta (axis v) at every parameter of rec,
+        an array ``curvature.AxisSamples`` of this pair, each bit-identical
+        to the one-point call and read from what rec evaluated: a raw curve
+        pair subtracts the base position from rec's positions, any other
+        pair queries its prefix integral with rec's velocities."""
+        if self.position_exprs is not None:
+            k = rec.axis == "v"
+            return rec.position - _position(self.position_exprs[k],
+                                            self.base[k])
+        return self._prefix(rec.axis).at(rec.ts, rec.vel)
+
+    def _prefix(self, axis: str) -> PrefixIntegral:
+        """The cached integral of phi' (axis u) or psi' (axis v)."""
+        if axis not in self._prefixes:
+            dom = self.domain
+            lo, hi, prime, prime_array = (
+                (dom.u_min, dom.u_max, self.phi_prime, self.phi_prime_array)
+                if axis == "u" else
+                (dom.v_min, dom.v_max, self.psi_prime, self.psi_prime_array))
+            self._prefixes[axis] = PrefixIntegral(
+                _values(prime), self.base[axis == "v"], lo, hi,
+                _values(prime_array), abs_tol=QUAD_TOL)
+        return self._prefixes[axis]
+
+
+def _position(exprs, t: float) -> np.ndarray:
+    """A raw curve's position at t from its three expressions."""
+    return vec3(*(eval_value(e, t) for e in exprs))
 
 
 def _values(prime: Callable) -> Callable:
@@ -334,12 +357,6 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
             raise InvalidCurveData(
                 f"{side}-side curve components disagree on the variable name")
 
-    def phi_position(u: float) -> np.ndarray:
-        return vec3(*(eval_value(e, u) for e in phi))
-
-    def psi_position(v: float) -> np.ndarray:
-        return vec3(*(eval_value(e, v) for e in psi))
-
     def phi_prime(u: float):
         return tuple(shift_derivative(eval_jet(e, lift_variable(u)))
                      for e in phi)
@@ -373,14 +390,14 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
     base = (float(base[0]), float(base[1]))
     if not domain.contains(*base):
         raise InvalidCurveData("base parameters outside the domain")
-    f0 = (0.5 * (phi_position(base[0]) + psi_position(base[1])) if f0 is None
-          else np.asarray(f0, dtype=float))
+    f0 = (0.5 * (_position(phi, base[0]) + _position(psi, base[1]))
+          if f0 is None else np.asarray(f0, dtype=float))
     if f0.shape != (3,) or not np.all(np.isfinite(f0)):
         raise InvalidCurveData("f0 must be a finite 3-vector")
     return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
                          psi_prime_array, domain, base, f0, source="curves",
-                         prime_order=2, phi_position=phi_position,
-                         psi_position=psi_position)
+                         prime_order=2,
+                         position_exprs=(tuple(phi), tuple(psi)))
 
 
 @dataclass(frozen=True)

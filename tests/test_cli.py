@@ -154,6 +154,30 @@ def test_sample_writes_obj_and_fields(spec_dir, tmp_path):
     assert len(rows) == 82
 
 
+@pytest.mark.parametrize("fields", ["m.obj", "./sub/../m.obj"])
+def test_sample_to_one_file_twice_is_usage_error(fields, spec_dir, tmp_path,
+                                                 capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code = main(["sample", "--spec", enneper_spec(spec_dir), "--nu", "4",
+                 "--nv", "4", "--out", "m.obj", "--fields", fields])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0] == "usage error: --out and --fields name the same file"
+    assert not (tmp_path / "m.obj").exists()
+
+
+def test_sample_leaves_no_obj_when_fields_cannot_be_written(spec_dir,
+                                                            tmp_path, capsys):
+    obj = tmp_path / "m.obj"
+    code = main(["sample", "--spec", enneper_spec(spec_dir), "--nu", "4",
+                 "--nv", "4", "--out", str(obj),
+                 "--fields", str(tmp_path / "missing" / "m.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_conjugate_round_trip(spec_dir, tmp_path):
     out = tmp_path / "conj.json"
     assert main(["conjugate", "--spec", enneper_spec(spec_dir),

@@ -4,27 +4,34 @@ The reference below walks every vertex with the scalar per-point bodies of
 the curvature route, the flat classification and the area density (the
 references of ``curvature_reference`` and ``singular_reference``) and writes
 the exports one row at a time with the csv module, as the mesh module once
-did.
+did. ``mesh_reference`` holds the per-point position loop and the per-row
+export bodies that the one-call-per-axis positions and the once-formatted
+exports replaced.
 """
 
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from minface import gallery
-from minface.errors import SingularNeighborhood, SingularPoint
+from minface import expr, gallery
+from minface.errors import MinfaceError, SingularNeighborhood, SingularPoint
 from minface.lorentz import mdot
 from minface.mesh import (MESH_SINGULAR_TOL, export_fields_csv, export_obj,
                           sample_grid)
-from minface.surface import as_pair, get_data
+from minface.surface import (RealWeierstrassData, Rect, as_pair, get_data,
+                             pair_from_position_expressions)
 from minface.verify import make_random_poly_data
 
 from curvature_reference import (reference_flat_classify,
                                  reference_gaussian_curvature)
+from mesh_reference import (reference_export_fields_csv, reference_export_obj,
+                            reference_positions)
 from singular_reference import reference_signed_area_density
 from test_mesh import masking_example
+from test_verify_arrays import _patch_everywhere
 
 SIZES = ((64, 64), (24, 20), (2, 2))
 
@@ -34,6 +41,10 @@ def _surfaces():
     rng = np.random.default_rng(314)
     out += [("poly%d" % i, make_random_poly_data(rng)) for i in range(3)]
     out.append(("masking", masking_example()))
+    # a raw curve pair whose base parameters differ from each other
+    spec = gallery.spec_dict("kchange")
+    out.append(("kchange-based", pair_from_position_expressions(
+        spec["phi"], spec["psi"], Rect(-2, 2, -2, 2), base=(0.5, -1.25))))
     return out
 
 
@@ -145,3 +156,62 @@ def test_exports_match_per_row_writer(name, tmp_path):
     export_fields_csv(m, fields)
     assert obj.read_bytes() == reference_obj(m).encode("utf-8")
     assert fields.read_bytes() == reference_csv(m).encode("utf-8")
+
+
+@pytest.mark.parametrize("size", SIZES, ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_positions_and_exports_equal_per_point_references(name, size,
+                                                          tmp_path):
+    d = SURFACES[name]
+    m = sample_grid(d, *size)
+    assert m.positions.tobytes() == reference_positions(d, *size).tobytes()
+    obj, fields = tmp_path / "m.obj", tmp_path / "m.csv"
+    export_obj(m, obj)
+    export_fields_csv(m, fields)
+    assert obj.read_bytes() == reference_export_obj(m).encode("utf-8")
+    assert fields.read_bytes() == reference_export_fields_csv(m).encode(
+        "utf-8")
+    # each file alone, and the CSV first: the shared strings are the same
+    for export, path in ((export_obj, obj), (export_fields_csv, fields)):
+        buf = io.StringIO(newline="")
+        export(sample_grid(d, *size), buf)
+        assert buf.getvalue().encode("utf-8") == path.read_bytes()
+
+
+def _scalar_evaluations(monkeypatch):
+    """Counts of the scalar eval_jet and eval_value calls, by name."""
+    calls = Counter()
+    for fn in (expr.eval_jet, expr.eval_value):
+        def counted(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        _patch_everywhere(monkeypatch, fn, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_grid_positions_make_no_per_point_scalar_evaluation(name,
+                                                            monkeypatch):
+    d = SURFACES[name]
+    sample_grid(d, 2, 2)  # the position integrals are built
+    calls = _scalar_evaluations(monkeypatch)
+    sample_grid(d, 64, 64)
+    # a raw curve pair reads its base position: three values per axis
+    raw = get_data(d) is None
+    assert calls == (Counter(eval_value=6) if raw else Counter())
+
+
+def test_a_failing_grid_raises_what_the_per_point_positions_raise():
+    # w1 fails at u = 0, g1 at u = 0.5: point by point, w1 fails first;
+    # evaluated axis-wide, g1 (evaluated before w1) would
+    d = RealWeierstrassData.from_strings("1/(u-0.5)", "v", "2+0*(1/u)", "1",
+                                         Rect(-1, 1, -1, 1))
+    for size in SIZES:
+        with pytest.raises(MinfaceError) as want:
+            reference_positions(d, *size)
+        with pytest.raises(MinfaceError) as got:
+            sample_grid(d, *size)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == (
+            "division by zero at offset 4..9")

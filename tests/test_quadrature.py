@@ -148,9 +148,9 @@ def test_pair_prefixes_equal_the_scalar_march(name, rng):
                                       abs_tol=QUAD_TOL)
         ts = np.linspace(lo, hi, 25)
         _same(np.array([delta(t) for t in ts]), np.array([ref(t) for t in ts]))
-        _assert_queries_equal(delta.__self__._phi_prefix if delta.__name__
-                              == "phi_delta" else
-                              delta.__self__._psi_prefix, ref, lo, hi, rng, 9)
+        _assert_queries_equal(pair._prefix("u" if delta.__name__
+                                           == "phi_delta" else "v"),
+                              ref, lo, hi, rng, 9)
 
 
 @pytest.mark.parametrize("kind", ["poly", "cross", "regular"])
@@ -246,6 +246,41 @@ def test_chunks_hold_at_most_1024_points():
     ref = ReferencePrefixIntegral(fn, 0.0, -1.0, 2.0)
     ref(0.5)
     _same(pre._cum, ref._cum)
+
+
+def test_array_query_equals_the_one_point_queries(rng):
+    # every node, the base (a node whose row is zero), the ends, points
+    # between nodes, and a 2-D shape, as a grid axis record has
+    fn = lambda t: np.array([math.cos(3 * t), -math.exp(t), t - 0.25])
+    pre = PrefixIntegral(fn, 0.25, -1.0, 2.0, _pointwise(fn), n_cache=40)
+    ts = np.concatenate([pre.nodes, [0.25, -1.0, 2.0], rng.uniform(-1, 2, 9),
+                         np.nextafter(pre.nodes[[3, 7]], 9.0)])
+    values = np.array([fn(t) for t in ts])
+    for shape in ((len(ts),), (1, len(ts)), (len(ts), 1)):
+        got = pre.at(ts.reshape(shape), values.reshape(shape + (3,)))
+        assert got.shape == shape + (3,)
+        _same(got.reshape(-1, 3), np.array([pre(t) for t in ts]))
+
+
+def test_array_query_evaluates_only_off_node_tails():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return np.array([math.sin(t), 1.0])
+
+    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), n_cache=16)
+    pre._build()
+    calls.clear()
+    # the zero-length tail is the values handed in times 0.0
+    got = pre.at(pre.nodes, np.array([[-1.0, 2.0]] * len(pre.nodes)))
+    assert calls == []
+    _same(got, pre._cum)
+    got = pre.at(np.array([0.5]), np.array([[np.nan, 1.0]]))
+    assert calls == [] and np.isnan(got).tolist() == [[True, False]]
+    off = np.array([0.03, 0.5])
+    _same(pre.at(off, np.array([fn(t) for t in off])),
+          np.array([pre(t) for t in off]))
 
 
 def _failing_pair():

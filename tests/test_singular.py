@@ -182,6 +182,18 @@ def test_degenerate_singular_point():
         directions_at(d, 0.0, 0.3)
 
 
+@pytest.mark.parametrize("g1, g2", [("1+u^2", "1+v"), ("1+u", "1+v^2")])
+def test_nondegeneracy_band_scales_with_both_derivatives(g1, g2):
+    # at (0, 0) one of |g1'|, |g2'| is 0 and the other 1: with tol = 0.5
+    # the band is 0.5 (1 + 0 + 1) = 1, which max(|g1'|, |g2'|) = 1 does not
+    # exceed
+    d = RealWeierstrassData.from_strings(g1, g2, "1", "1",
+                                         Rect(-0.5, 0.5, -0.5, 0.5))
+    assert not classify_singular(d, 0.0, 0.0, tol=0.5).is_nondegenerate
+    assert not reference_is_nondegenerate(d, 0.0, 0.0, tol=0.5)
+    assert classify_singular(d, 0.0, 0.0, tol=0.49).is_nondegenerate
+
+
 def test_front_and_nondegenerate_predicates(enneper):
     assert is_front(enneper, 2.0, -0.5)
     assert is_front(enneper, 1.0, -1.0)

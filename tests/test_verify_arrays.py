@@ -266,6 +266,35 @@ def test_flat_accumulation_reaches_its_close_encounters(name, encounters,
     assert (got.count, got.max_error) == (encounters, float(violations))
 
 
+def test_kappa_zero_locus_skips_its_gray_band():
+    # on enneper |g1'| = |g2'| = 1 at every traced point and |kappa_s| runs
+    # from 0.04 to 16: the points below lo = 0.5 are mismatches only once
+    # min(|g1'|, |g2'|) = 1 lies above hi
+    surf = TRACED["enneper"]
+    assert check_kappa_zero_locus(surf, lo=0.5, hi=1.0).passed
+    got = check_kappa_zero_locus(surf, lo=0.5, hi=np.nextafter(1.0, 0.0))
+    want = reference_kappa_zero_locus(surf, lo=0.5,
+                                      hi=np.nextafter(1.0, 0.0))
+    assert got == want and got.max_error > 0
+
+
+def test_flat_accumulation_counts_an_encounter_at_exactly_the_radius():
+    # acc-5's flat line u = u0 (it has none along v) comes within 1e-2 of
+    # one traced point: set the radius to that distance, as the check
+    # computes it
+    surf = TRACED["acc-5"]
+    d = get_data(surf)
+    (u0,) = verify._critical_params(d, "u")
+    n, sd, _ = verify._traced(surf, 256, lambda c: c.is_nondegenerate)
+    qv = np.linspace(d.domain.v_min, d.domain.v_max, 101)
+    r = np.hypot(sd.u[:n] - u0, sd.v[:n] - qv[:, None]).min()
+    assert 0.0 < r <= 1e-2
+    for radius, count in ((r, 1), (np.nextafter(r, 0.0), 0)):
+        got = check_flat_accumulation(surf, radius=radius)
+        assert got == reference_flat_accumulation(surf, radius=radius)
+        assert got.count == count
+
+
 def test_trace_checks_without_singular_points_equal_per_point_loops():
     surf = SURFACES["poly-3"]
     for check, reference in TRACE_CHECKS:

@@ -15,7 +15,8 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
 * ``sample --fields`` at 32x32, 64x64, 24x20 and 2x2: the OBJ and the CSV
   (at 32x32, 64x64 and 2x2 every grid point lies on a node of the position
   integrals' ladder; at 24x20 most do not, so the tail integrals are
-  compared too);
+  compared too), and ``sample`` without ``--fields`` at 64x64: the OBJ
+  alone, whose coordinates are formatted with no CSV to share them;
 * ``gallery --name N`` for each bundled name N: stdout and the files it
   writes (the description, the 64x64 OBJ and the grid-256 singular CSV);
 * then ``classify --u=U --v=V``: stdout, at the first, middle and last
@@ -29,7 +30,7 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
 
 Each tree's commands run in one interpreter per round, through
 ``minface.cli.main``, with stdout, stderr and the exit code recorded per
-command. Prints every file that differs and exits 1 if any does, 0 if none
+command (``<stem>.log``; every ``sample`` run has one too). Prints every file that differs and exits 1 if any does, 0 if none
 does.
 """
 
@@ -90,6 +91,9 @@ def jobs(spec_dir: Path):
                   "--out", f"{name}.{nu}x{nv}.obj",
                   "--fields", f"{name}.{nu}x{nv}.csv"])
                 for nu, nv in ((32, 32), (64, 64), (24, 20), (2, 2))]
+        out.append((f"{name}.sample64x64-obj",
+                    ["sample", "--spec", spec, "--nu", "64", "--nv", "64",
+                     "--out", f"{name}.64x64-obj.obj"]))
     out += [(f"gallery-{name}", ["gallery", "--name", name, "--out", "."])
             for name in specgen.GALLERY]
     return out
