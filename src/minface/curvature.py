@@ -32,14 +32,11 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateAtPoint, FlatPoint, SingularPoint,
-                     SingularNeighborhood)
-from .expr import eval_array, eval_jet
-from .jets import (SCALAR_OPS, Jet3, elementwise, float_pow, lift_variable,
-                   shift_derivative)
+from .errors import (DegenerateAtPoint, FlatPoint, NonFiniteResult,
+                     SingularPoint, SingularNeighborhood)
+from .jets import Jet3, elementwise, float_pow
 from .lorentz import det3, enorm, mdot, vec3
-from .surface import (REGULAR_TOL, Surface, SurfaceJet, _phi_jets,
-                      _prime_array, _psi_jets, as_pair, get_data,
+from .surface import (REGULAR_TOL, Surface, SurfaceJet, as_pair, get_data,
                       normal_samples, require_data)
 
 FD_STEP = 1e-3
@@ -83,16 +80,15 @@ def _orientation_det(vel, acc, jerk, tol: float = 1e-12):
 class AxisSamples:
     """One generating curve of a surface, sampled at every parameter of ts.
 
-    Evaluates once the data jets g and w (g1, w1 on axis u; None on a raw
-    curve pair) and the velocity, acceleration and jerk; the per-axis
-    arrays below derive from them on first use. On a raw curve pair
-    ``position`` holds the curve's position, the value slot of the jets the
-    velocity is shifted from (None otherwise). A float ts is evaluated
-    through the scalar jet closures, an array through ``eval_array``; each
-    array element equals the float record at that parameter bit for bit,
-    and every attribute and formula below runs unchanged on both. ts may
-    have any shape: records on ``us[:, None]`` and ``vs[None, :]`` broadcast
-    the two-variable formulas below to a grid.
+    Evaluates the curve once (``NullCurvePair.jets``) and keeps the
+    velocity, acceleration and jerk, the data jets g and w (g1, w1 on axis
+    u; None without live data) and a raw curve's ``position`` (else None);
+    the per-axis arrays below derive from them on first use. A float ts
+    makes a one-point record, each array element equal to it bit for bit,
+    and every attribute and formula below runs on both. ts may have any
+    shape: records on ``us[:, None]`` and ``vs[None, :]`` broadcast the
+    two-variable formulas to a grid. Raises NonFiniteResult at the first
+    parameter whose jets are too large to square, as the formulas do.
     """
 
     def __init__(self, surface: Surface, axis: str, ts):
@@ -101,31 +97,22 @@ class AxisSamples:
         self.surface, self.axis = surface, axis
         self.ts = np.asarray(ts, dtype=np.float64)
         one = self.ts.ndim == 0
-        t = self.ts.item() if one else self.ts
-        x, jet_of = (lift_variable(t), eval_jet) if one else (t, eval_array)
+        pair = as_pair(surface)
+        jets, own = pair.jets(axis, self.ts.item() if one else self.ts)
         # np.array is the cheap way to one 3-vector
         stack = np.array if one else (lambda x: np.stack(x, axis=-1))
-        d = get_data(surface)
-        pair = as_pair(surface)
-        self.g = self.w = self.position = None
-        if d is not None:
-            exprs = (d.g1, d.w1) if axis == "u" else (d.g2, d.w2)
-            self.g, self.w = (jet_of(e, x) for e in exprs)
-            jets = ((_phi_jets if axis == "u" else _psi_jets)(
-                SCALAR_OPS, self.g, self.w) if one
-                else _prime_array(axis, self.g, self.w))
-        elif pair.position_exprs is not None:
-            found = [jet_of(e, x) for e in pair.position_exprs[axis == "v"]]
-            self.position = stack([j.value for j in found])
-            jets = [shift_derivative(j) for j in found]
-        else:
-            if axis == "u":
-                prime = pair.phi_prime if one else pair.phi_prime_array
-            else:
-                prime = pair.psi_prime if one else pair.psi_prime_array
-            jets = prime(t)
+        self.g, self.w = own if get_data(surface) is not None else (None, None)
+        self.position = (stack([j.value for j in own])
+                         if pair.source == "curves" else None)
         self.vel, self.acc, self.jerk = (
             stack(x) for x in zip(*(j.as_tuple()[:3] for j in jets)))
+        with np.errstate(over="ignore"):
+            size = np.square(1.0 + enorm(self.vel) + enorm(self.acc)
+                             + enorm(self.jerk))
+        if not np.all(np.isfinite(size)):
+            t = float(self.ts[~np.isfinite(size)][0])
+            raise NonFiniteResult(f"{'phi' if axis == 'u' else 'psi'}' is "
+                                  f"too large to square at parameter {t!r}")
 
     def shifted(self, step: float) -> "AxisSamples":
         """The record at ts + step."""
@@ -216,16 +203,28 @@ def regular_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
              <= REGULAR_TOL * np.maximum(scale, 1e-300))
 
 
+def _pow(x, n: int, what: str):
+    """float_pow(x, n), or NonFiniteResult where the float ** overflows."""
+    try:
+        return float_pow(x, n)
+    except OverflowError:
+        raise NonFiniteResult(f"non-finite result in {what}") from None
+
+
 def closed_k_samples(su: AxisSamples, sv: AxisSamples):
-    """gaussian_curvature by its closed route (extrinsic on a raw pair)."""
+    """gaussian_curvature by its closed route (extrinsic on a raw pair);
+    NonFiniteResult where the mask holds but K or its denominator is not
+    finite (an overflowed denominator does not make K 0)."""
     if su.g is None:
         return extrinsic_k_samples(su, sv)
     with np.errstate(all="ignore"):
         gg = su.g.value * sv.g.value
-        denom = su.w.value * sv.w.value * float_pow(1.0 - gg, 4)
+        denom = su.w.value * sv.w.value * _pow(1.0 - gg, 4, "(1 - g1 g2)^4")
         k = 4.0 * su.g.d1 * sv.g.d1 / denom
-        return k, (denom != 0.0) & ~(np.abs(1.0 - gg)
-                                     < 1e-15 * (1.0 + np.abs(gg)))
+        ok = (denom != 0.0) & ~(np.abs(1.0 - gg) < 1e-15 * (1.0 + np.abs(gg)))
+    if np.any(ok & ~(np.isfinite(denom) & np.isfinite(k))):
+        raise NonFiniteResult("non-finite result in the closed-form K")
+    return k, ok
 
 
 def area_density_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
@@ -240,17 +239,23 @@ def area_density_samples(su: AxisSamples, sv: AxisSamples) -> np.ndarray:
     with np.errstate(all="ignore"):
         one_m = 1.0 - g1 * g2
         return (-0.5 * su.w.value * sv.w.value * one_m
-                * np.sqrt(float_pow(one_m, 2) + 2.0 * float_pow(g1 + g2, 2)))
+                * np.sqrt(_pow(one_m, 2, "(1 - g1 g2)^2")
+                          + 2.0 * _pow(g1 + g2, 2, "(g1 + g2)^2")))
 
 
-def _extrinsic_k(f_u, f_v, Q, R):
+def _extrinsic_k(f_u, f_v, Q, R, has_nu=True):
     """K = -Q R / Lambda^2 with Lambda = <f_u, f_v>, and where Lambda is not
-    negligible against |f_u| |f_v|."""
-    lam = mdot(f_u, f_v)
-    scale = enorm(f_u) * enorm(f_v)
+    negligible against |f_u| |f_v| and has_nu holds; NonFiniteResult where
+    that holds but K is not finite."""
     with np.errstate(all="ignore"):
-        return (-Q * R / float_pow(lam, 2),
-                ~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300)))
+        lam = mdot(f_u, f_v)
+        scale = enorm(f_u) * enorm(f_v)
+        k = -Q * R / _pow(lam, 2, "Lambda^2")
+        ok = (~(np.abs(lam) <= REGULAR_TOL * np.maximum(scale, 1e-300))
+              & has_nu)
+    if np.any(ok & ~np.isfinite(k)):
+        raise NonFiniteResult("non-finite result in K = -Q R / Lambda^2")
+    return k, ok
 
 
 def extrinsic_k_samples(su: AxisSamples, sv: AxisSamples):
@@ -258,8 +263,7 @@ def extrinsic_k_samples(su: AxisSamples, sv: AxisSamples):
     _, _, nu, has_nu = normal_samples(su, sv)
     with np.errstate(all="ignore"):
         q, r = mdot(0.5 * su.acc, nu), mdot(0.5 * sv.acc, nu)
-    k, ok = _extrinsic_k(0.5 * su.vel, 0.5 * sv.vel, q, r)
-    return k, ok & has_nu
+    return _extrinsic_k(0.5 * su.vel, 0.5 * sv.vel, q, r, has_nu)
 
 
 def intrinsic_k_samples(su: AxisSamples, sv: AxisSamples, h: float = FD_STEP):
@@ -295,7 +299,7 @@ def energy_gauge_samples(su: AxisSamples, sv: AxisSamples):
     t_s_u, ok_u = su.gauge_rate()
     t_s_v, ok_v = sv.gauge_rate()
     with np.errstate(all="ignore"):
-        e = (eps * float_pow(1.0 - su.g.value * sv.g.value, 2)
+        e = (eps * _pow(1.0 - su.g.value * sv.g.value, 2, "(1 - g1 g2)^2")
              / (4.0 * (su.g.d1 * t_s_u) * (sv.g.d1 * t_s_v)))
     return e, ok & ok_u & ok_v
 

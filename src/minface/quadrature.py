@@ -131,18 +131,18 @@ def adaptive_quad(fn, a: float, b: float, abs_tol: float = 1e-12,
 class PrefixIntegral:
     """Cached cumulative integral t -> int_{t0}^{t} fn, fn vector-valued.
 
-    ``fn_array(ts)`` returns fn at every point of a 1-D array ts, stacked
-    along a leading axis, each row bit-identical to fn at that point; the
-    ladder is built from it. A call queries one float, ``at`` an array.
+    fn takes a float or a 1-D array ts; on an array it returns its values
+    at every point, stacked along a leading axis, each row bit-identical to
+    fn at that point. The ladder is built from array calls, tails from
+    float calls. A call queries one float, ``at`` an array.
     """
 
-    def __init__(self, fn, t0: float, lo: float, hi: float, fn_array,
+    def __init__(self, fn, t0: float, lo: float, hi: float,
                  n_cache: int = 256, abs_tol: float = 1e-12):
         if not (lo <= t0 <= hi):
             # Allow a base outside the declared window by widening it.
             lo, hi = min(lo, t0), max(hi, t0)
         self.fn = fn
-        self.fn_array = fn_array
         self.t0 = float(t0)
         self.abs_tol = abs_tol
         nodes = np.linspace(lo, hi, n_cache + 1)
@@ -170,7 +170,7 @@ class PrefixIntegral:
                 h = half[s:s + per]
                 # node-major: row j holds Gauss point j of every segment
                 ts = mid[s:s + per] + h * _XS[:, None]
-                vals = np.asarray(self.fn_array(ts.ravel()), dtype=float)
+                vals = np.asarray(self.fn(ts.ravel()), dtype=float)
                 vals = vals.reshape(ts.shape + (-1,))
                 coarse.append(h[:, None] * _weighted(vals[:len(_X10)], _W10))
                 fine.append(h[:, None] * _weighted(vals[len(_X10):], _W20))

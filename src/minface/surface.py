@@ -25,6 +25,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -151,31 +152,24 @@ class RealWeierstrassData:
 
 @dataclass
 class NullCurvePair:
-    """Velocity jets of the two generating null curves plus position prefixes.
+    """The two generating null curves of a surface, held as expressions.
 
-    ``phi_prime(u)`` returns the three component jets of phi'(u): values are
-    phi', first derivatives phi'', second derivatives phi'''. ``prime_order``
-    records how many derivative slots beyond the value are trustworthy (3 in
-    Weierstrass mode; 2 for raw position expressions, whose shifted jets fill
-    the top slot with 0). ``phi_prime_array(us)`` returns the same jets at
-    every element of an array, as jets of arrays, each element bit-identical
-    to ``phi_prime`` at that element. A raw curve pair keeps its position
-    expressions, three per curve, in ``position_exprs``; its positions are
-    read from them, not integrated.
+    ``exprs`` holds each curve's expressions, u's first: (g, w) in
+    Weierstrass mode (``source`` 'weierstrass'), the three position
+    components in raw-curve mode (``source`` 'curves'). ``curve_jets``
+    evaluates them; ``phi_prime(u)`` returns the three component jets of
+    phi'(u): values are phi', first derivatives phi'', second derivatives
+    phi'''. A raw curve pair's positions are read from its expressions, not
+    integrated.
     """
 
-    phi_prime: Callable[[float], tuple]
-    psi_prime: Callable[[float], tuple]
-    phi_prime_array: Callable[[np.ndarray], tuple]
-    psi_prime_array: Callable[[np.ndarray], tuple]
+    exprs: tuple  # ((g1, w1), (g2, w2)) or (phi's three, psi's three)
     domain: Rect
     base: tuple
     f0: np.ndarray
     source: str  # 'weierstrass' | 'curves'
-    prime_order: int = 3
     _data: Optional[weakref.ref] = field(default=None, repr=False,
                                          compare=False)
-    position_exprs: Optional[tuple] = None  # (phi's, psi's)
     _prefixes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -187,13 +181,26 @@ class NullCurvePair:
         """
         return None if self._data is None else self._data()
 
+    @property
+    def position_exprs(self) -> Optional[tuple]:
+        """A raw curve pair's position expressions (phi's, psi's), else None."""
+        return self.exprs if self.source == "curves" else None
+
+    def jets(self, axis: str, t) -> tuple:
+        """``curve_jets`` of the u-curve (axis u) or the v-curve at t."""
+        return curve_jets(self.source, self.exprs[axis == "v"], axis, t)
+
+    def phi_prime(self, u: float) -> tuple:
+        return self.jets("u", u)[0]
+
+    def psi_prime(self, v: float) -> tuple:
+        return self.jets("v", v)[0]
+
     def phi_prime_value(self, u: float) -> np.ndarray:
-        j = self.phi_prime(u)
-        return vec3(j[0].value, j[1].value, j[2].value)
+        return vec3(*(c.value for c in self.phi_prime(u)))
 
     def psi_prime_value(self, v: float) -> np.ndarray:
-        j = self.psi_prime(v)
-        return vec3(j[0].value, j[1].value, j[2].value)
+        return vec3(*(c.value for c in self.psi_prime(v)))
 
     def phi_delta(self, u: float) -> np.ndarray:
         """Integral of phi' from the base u to u."""
@@ -203,10 +210,10 @@ class NullCurvePair:
         return self._delta("v", v)
 
     def _delta(self, axis: str, t: float) -> np.ndarray:
-        if self.position_exprs is not None:
+        if self.source == "curves":
             k = axis == "v"
-            return (_position(self.position_exprs[k], t)
-                    - _position(self.position_exprs[k], self.base[k]))
+            return (_position(self.exprs[k], t)
+                    - _position(self.exprs[k], self.base[k]))
         return self._prefix(axis)(t)
 
     def axis_deltas(self, rec) -> np.ndarray:
@@ -215,44 +222,22 @@ class NullCurvePair:
         to the one-point call and read from what rec evaluated: a raw curve
         pair subtracts the base position from rec's positions, any other
         pair queries its prefix integral with rec's velocities."""
-        if self.position_exprs is not None:
+        if self.source == "curves":
             k = rec.axis == "v"
-            return rec.position - _position(self.position_exprs[k],
-                                            self.base[k])
+            return rec.position - _position(self.exprs[k], self.base[k])
         return self._prefix(rec.axis).at(rec.ts, rec.vel)
 
     def _prefix(self, axis: str) -> PrefixIntegral:
         """The cached integral of phi' (axis u) or psi' (axis v)."""
         if axis not in self._prefixes:
+            k = axis == "v"
             dom = self.domain
-            lo, hi, prime, prime_array = (
-                (dom.u_min, dom.u_max, self.phi_prime, self.phi_prime_array)
-                if axis == "u" else
-                (dom.v_min, dom.v_max, self.psi_prime, self.psi_prime_array))
+            lo, hi = (dom.v_min, dom.v_max) if k else (dom.u_min, dom.u_max)
+            # the integrand holds the expressions, not the pair: no cycle
             self._prefixes[axis] = PrefixIntegral(
-                _values(prime), self.base[axis == "v"], lo, hi,
-                _values(prime_array), abs_tol=QUAD_TOL)
+                partial(_velocity, self.source, self.exprs[k], axis),
+                self.base[k], lo, hi, abs_tol=QUAD_TOL)
         return self._prefixes[axis]
-
-
-def _position(exprs, t: float) -> np.ndarray:
-    """A raw curve's position at t from its three expressions."""
-    return vec3(*(eval_value(e, t) for e in exprs))
-
-
-def _values(prime: Callable) -> Callable:
-    """t -> the value vectors of prime(t), stacked on a trailing axis.
-
-    The integrands of a pair's prefix integrals, from the scalar or the
-    array jets: they hold the jet function, not the pair that holds the
-    prefix, so the two form no reference cycle.
-    """
-
-    def value(t) -> np.ndarray:
-        j = prime(t)
-        return np.stack([j[0].value, j[1].value, j[2].value], axis=-1)
-
-    return value
 
 
 Surface = Union[RealWeierstrassData, NullCurvePair]
@@ -277,7 +262,7 @@ def require_data(surface: Surface, what: str) -> RealWeierstrassData:
     return d
 
 
-# --- constructors ---------------------------------------------------------
+# --- the curve evaluator ----------------------------------------------------
 
 
 _ONE, _MINUS_ONE = constant(1.0), constant(-1.0)
@@ -300,39 +285,55 @@ def _psi_jets(ops, g: Jet3, w: Jet3) -> tuple:
             mul(mul(_MINUS_TWO, g), w))
 
 
-def _prime_array(axis: str, g: Jet3, w: Jet3) -> tuple:
-    """phi' (axis u) or psi' (axis v) from the array jets of g and w."""
+def curve_jets(source: str, exprs: tuple, axis: str, t) -> tuple:
+    """(velocity, own): one generating curve evaluated at t.
+
+    The one evaluator of a generating curve. exprs are the curve's
+    expressions as ``NullCurvePair.exprs`` holds them, and own their jets,
+    each evaluated once, in order. velocity holds the three component jets
+    of phi' (axis u) or psi' (axis v), so value, d1 and d2 are gamma',
+    gamma'' and gamma''': in Weierstrass mode built from g and w, on a raw
+    curve the position jets shifted (their top slot is 0). A float t is
+    evaluated through ``eval_jet``, an array through ``eval_array``; each
+    array element equals the float call at that element bit for bit.
+    """
+    one = not isinstance(t, np.ndarray)
+    x = lift_variable(t) if one else t
+    own = tuple((eval_jet if one else eval_array)(e, x) for e in exprs)
+    if source == "curves":
+        return tuple(shift_derivative(j) for j in own), own
+    jets = _phi_jets if axis == "u" else _psi_jets
+    if one:
+        return jets(SCALAR_OPS, *own), own
     # a non-finite element fails the array ops' finiteness test; numpy
     # must not warn about it first
     with np.errstate(all="ignore"):
-        return (_phi_jets if axis == "u" else _psi_jets)(ARRAY_OPS, g, w)
+        return jets(ARRAY_OPS, *own), own
+
+
+def _velocity(source: str, exprs: tuple, axis: str, t) -> np.ndarray:
+    """The velocity values of ``curve_jets`` at t, stacked on a trailing
+    axis: a pair's prefix integrand, for a float t or an array."""
+    j = curve_jets(source, exprs, axis, t)[0]
+    return np.stack([j[0].value, j[1].value, j[2].value], axis=-1)
+
+
+def _position(exprs: tuple, t: float) -> np.ndarray:
+    """A raw curve's position at t: the values of its three expressions."""
+    return vec3(*(eval_value(e, t) for e in exprs))
+
+
+# --- constructors ---------------------------------------------------------
 
 
 def curves_from_data(d: RealWeierstrassData) -> NullCurvePair:
-    """Velocity jets of the null curves determined by the data functions.
+    """The null curves determined by the data functions.
 
-    The jets close over the four expressions, not over d, and the pair
-    refers to d weakly, so d and its cached pair form no reference cycle.
+    The pair holds the four expressions, not d, and refers to d weakly, so
+    d and its cached pair form no reference cycle.
     """
-    g1, g2, w1, w2 = d.g1, d.g2, d.w1, d.w2
-
-    def phi_prime(u: float):
-        x = lift_variable(u)
-        return _phi_jets(SCALAR_OPS, eval_jet(g1, x), eval_jet(w1, x))
-
-    def psi_prime(v: float):
-        x = lift_variable(v)
-        return _psi_jets(SCALAR_OPS, eval_jet(g2, x), eval_jet(w2, x))
-
-    def phi_prime_array(us):
-        return _prime_array("u", eval_array(g1, us), eval_array(w1, us))
-
-    def psi_prime_array(vs):
-        return _prime_array("v", eval_array(g2, vs), eval_array(w2, vs))
-
-    return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
-                         psi_prime_array, d.domain, d.base, d.f0.copy(),
-                         source="weierstrass", prime_order=3,
+    return NullCurvePair(((d.g1, d.w1), (d.g2, d.w2)), d.domain, d.base,
+                         d.f0.copy(), source="weierstrass",
                          _data=weakref.ref(d))
 
 
@@ -347,8 +348,10 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
     it defaults to the true position (phi + psi)/2 at the base parameters so
     evaluate() agrees with the position expressions.
     """
-    phi = [e if isinstance(e, Expression) else parse(e) for e in phi_exprs]
-    psi = [e if isinstance(e, Expression) else parse(e) for e in psi_exprs]
+    phi = tuple(e if isinstance(e, Expression) else parse(e)
+                for e in phi_exprs)
+    psi = tuple(e if isinstance(e, Expression) else parse(e)
+                for e in psi_exprs)
     if len(phi) != 3 or len(psi) != 3:
         raise InvalidCurveData("each curve needs exactly three components")
     for side, comps in (("u", phi), ("v", psi)):
@@ -357,24 +360,10 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
             raise InvalidCurveData(
                 f"{side}-side curve components disagree on the variable name")
 
-    def phi_prime(u: float):
-        return tuple(shift_derivative(eval_jet(e, lift_variable(u)))
-                     for e in phi)
-
-    def psi_prime(v: float):
-        return tuple(shift_derivative(eval_jet(e, lift_variable(v)))
-                     for e in psi)
-
-    def phi_prime_array(us):
-        return tuple(shift_derivative(eval_array(e, us)) for e in phi)
-
-    def psi_prime_array(vs):
-        return tuple(shift_derivative(eval_array(e, vs)) for e in psi)
-
-    for name, prime, grid in (
-            ("phi", phi_prime_array, domain.u_grid(_VALIDATION_GRID)),
-            ("psi", psi_prime_array, domain.v_grid(_VALIDATION_GRID))):
-        vel = _values(prime)(grid)
+    for name, exprs, axis, grid in (
+            ("phi", phi, "u", domain.u_grid(_VALIDATION_GRID)),
+            ("psi", psi, "v", domain.v_grid(_VALIDATION_GRID))):
+        vel = _velocity("curves", exprs, axis, grid)
         speed2 = np.sum(vel * vel, axis=-1)
         q = mdot(vel, vel)
         vanishes = speed2 == 0.0
@@ -394,10 +383,7 @@ def pair_from_position_expressions(phi_exprs, psi_exprs, domain: Rect,
           if f0 is None else np.asarray(f0, dtype=float))
     if f0.shape != (3,) or not np.all(np.isfinite(f0)):
         raise InvalidCurveData("f0 must be a finite 3-vector")
-    return NullCurvePair(phi_prime, psi_prime, phi_prime_array,
-                         psi_prime_array, domain, base, f0, source="curves",
-                         prime_order=2,
-                         position_exprs=(tuple(phi), tuple(psi)))
+    return NullCurvePair((phi, psi), domain, base, f0, source="curves")
 
 
 @dataclass(frozen=True)
@@ -507,15 +493,15 @@ def jets_at(surface: Surface, u: float, v: float,
     equal -g1'*w1*s and g2'*w2*s where s = sign(1 - g1*g2).
     """
     pair = as_pair(surface)
-    pj = pair.phi_prime(u)
-    qj = pair.psi_prime(v)
+    pj, own_u = pair.jets("u", u)
+    qj, own_v = pair.jets("v", v)
     f_u = 0.5 * vec3(pj[0].value, pj[1].value, pj[2].value)
     f_v = 0.5 * vec3(qj[0].value, qj[1].value, qj[2].value)
     f_uu = 0.5 * vec3(pj[0].d1, pj[1].d1, pj[2].d1)
     f_vv = 0.5 * vec3(qj[0].d1, qj[1].d1, qj[2].d1)
     f = evaluate(surface, u, v) if with_position else np.zeros(3)
     d = get_data(surface)
-    g = () if d is None else (d.g1_jet(u).value, d.g2_jet(v).value)
+    g = () if d is None else (own_u[0].value, own_v[0].value)
     n, has_n, nu, has_nu = _normals(f_u, f_v, *g)
     Q = R = None
     if has_nu:
@@ -576,14 +562,14 @@ _W_KEYS = _COMMON_KEYS | {"g1", "g2", "w1", "w2"}
 _C_KEYS = _COMMON_KEYS | {"phi", "psi"}
 
 
-def _parse_field(obj, key):
+def _parse_field(text, name: str):
     try:
-        return parse(obj[key])
+        return parse(text)
     except (TypeError,) as err:
-        raise SpecFileError(f"field {key!r} must be an expression string") \
+        raise SpecFileError(f"field {name} must be an expression string") \
             from err
     except Exception as err:
-        raise SpecFileError(f"field {key!r}: {err}") from err
+        raise SpecFileError(f"field {name}: {err}") from err
 
 
 def surface_from_dict(obj: dict) -> Surface:
@@ -609,6 +595,9 @@ def surface_from_dict(obj: dict) -> Surface:
                             0.5 * (rect.v_min + rect.v_max)))
     f0 = obj.get("f0", (0.0, 0.0, 0.0))
     try:
+        for key, value in (("base", base), ("f0", f0)):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{key} must be a list of numbers")
         base = (float(base[0]), float(base[1]))
         f0 = np.asarray([float(c) for c in f0], dtype=float)
         if f0.shape != (3,):
@@ -618,40 +607,36 @@ def surface_from_dict(obj: dict) -> Surface:
     try:
         if mode == "weierstrass":
             return RealWeierstrassData(
-                _parse_field(obj, "g1"), _parse_field(obj, "g2"),
-                _parse_field(obj, "w1"), _parse_field(obj, "w2"),
-                rect, base, f0)
+                *(_parse_field(obj[key], repr(key))
+                  for key in ("g1", "g2", "w1", "w2")), rect, base, f0)
         phi, psi = obj["phi"], obj["psi"]
         if (not isinstance(phi, (list, tuple)) or len(phi) != 3
                 or not isinstance(psi, (list, tuple)) or len(psi) != 3):
             raise SpecFileError("phi and psi must be 3-element lists")
         return pair_from_position_expressions(
-            [parse(c) for c in phi], [parse(c) for c in psi], rect, base, f0)
+            [_parse_field(c, f"'phi'[{k}]") for k, c in enumerate(phi)],
+            [_parse_field(c, f"'psi'[{k}]") for k, c in enumerate(psi)],
+            rect, base, f0)
     except (InvalidWeierstrassData, InvalidCurveData) as err:
         raise SpecFileError(str(err)) from err
 
 
 def surface_to_dict(surface: Surface) -> dict:
-    d = get_data(surface)
+    """The description of a surface, written from its pair's expressions."""
     pair = as_pair(surface)
     rect = pair.domain
     out = {
-        "mode": "weierstrass" if isinstance(surface, RealWeierstrassData)
-                else pair.source,
+        "mode": pair.source,
         "domain": {"u": [rect.u_min, rect.u_max],
                    "v": [rect.v_min, rect.v_max]},
         "base": [pair.base[0], pair.base[1]],
         "f0": [float(c) for c in pair.f0],
     }
-    if out["mode"] == "weierstrass":
-        out["g1"] = expr_mod.to_string(d.g1)
-        out["g2"] = expr_mod.to_string(d.g2)
-        out["w1"] = expr_mod.to_string(d.w1)
-        out["w2"] = expr_mod.to_string(d.w2)
+    u, v = ([expr_mod.to_string(e) for e in side] for side in pair.exprs)
+    if pair.source == "weierstrass":
+        out["g1"], out["g2"], out["w1"], out["w2"] = u[0], v[0], u[1], v[1]
     else:
-        raise ModeUnsupported(
-            "raw-curve surfaces do not retain their source expressions; "
-            "write the original description instead")
+        out["phi"], out["psi"] = u, v
     return out
 
 

@@ -347,6 +347,47 @@ def test_bad_spec_files_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key, value, field", [
+    ("kchange", "phi", [1, "2/3*u^3", "u-u^5/5"], "'phi'[0]"),
+    ("enneper", "base", {"a": 1}, "base"),
+])
+def test_malformed_spec_field_exits_two_naming_it(name, key, value, field,
+                                                  tmp_path, capsys):
+    spec = dict(gallery.spec_dict(name))
+    spec[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["curvature", "--u", "0", "--v", "0"], ["verify"]):
+        assert main(argv + ["--spec", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert field in err[0]
+
+
+@pytest.mark.parametrize("g1, g2", [
+    # phi' itself is too large to square at u = 1
+    ("exp(200*u)", "v"),
+    # each curve is moderate, (1 - g1 g2)^4 and Lambda^2 overflow
+    ("1e40*u", "1e40*v"),
+])
+@pytest.mark.parametrize("route", ["sample", "closed", "extrinsic"])
+def test_overflowing_curvature_is_numeric_failure(g1, g2, route, tmp_path,
+                                                  capsys):
+    # the true K at (1, 1) is tiny but a float (about 2e-258 for the
+    # first), so neither a traceback nor K = 0 is an answer
+    spec = {"mode": "weierstrass", "g1": g1, "g2": g2, "w1": "1", "w2": "1",
+            "domain": {"u": [-1, 1], "v": [-1, 1]}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    argv = (["sample", "--nu", "4", "--nv", "4",
+             "--out", str(tmp_path / "m.obj")] if route == "sample" else
+            ["curvature", "--u", "1", "--v", "1", "--method", route])
+    assert main(argv + ["--spec", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "non-finite" in err[0] or "too large" in err[0]
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

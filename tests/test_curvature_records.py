@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from minface import curvature, expr, singular, surface, verify
+from minface import curvature, expr, gallery, singular, surface, verify
 from minface.curvature import (AxisSamples, axis_curve, curve_orientation,
                                energy_gauge, flat_classify,
                                gaussian_curvature,
@@ -35,7 +35,7 @@ import curvature_reference as ref
 from singular_reference import (reference_check_main_theorem,
                                 reference_main_theorem,
                                 reference_signed_area_density, same_bits)
-from test_verify_arrays import SURFACES, TRACED, _points
+from test_verify_arrays import SURFACES, TRACED, _patch_everywhere, _points
 
 
 def _outcome(fn, *args):
@@ -315,3 +315,44 @@ def test_gauge_rate_masks_where_the_reference_raises():
                 assert ok and _same(float(t_s), want)
             else:
                 assert not ok and want[0] is DegenerateAtPoint, (axis, t)
+
+
+@pytest.mark.parametrize("name", ["enneper", "ce-quasiumbilic", "kchange"])
+def test_jets_at_evaluates_each_expression_once(name, monkeypatch):
+    surf = SURFACES[name]
+    d = get_data(surf)
+    want = ([d.g1, d.w1, d.g2, d.w2] if d is not None
+            else [e for side in as_pair(surf).position_exprs for e in side])
+    calls = Counter()
+    original = expr.eval_jet
+
+    def counted(e, x):
+        calls[id(e)] += 1
+        return original(e, x)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    jets_at(surf, 0.3, -0.4, with_position=False)
+    assert calls == Counter(id(e) for e in want)
+
+
+def test_orphaned_pair_records_carry_no_data_jets():
+    # a pair whose data has been collected: no g and w, the same curves
+    doc = gallery.spec_dict("enneper")
+    live = surface.surface_from_dict(doc)
+    orphan = as_pair(surface.surface_from_dict(doc))
+    assert orphan.data is None and get_data(orphan) is None
+    for axis in ("u", "v"):
+        for ts in (np.linspace(-2.0, 2.0, 9), 0.3):
+            a, b = AxisSamples(live, axis, ts), AxisSamples(orphan, axis, ts)
+            assert a.g is not None and b.g is None and b.w is None
+            for field in ("vel", "acc", "jerk"):
+                assert (getattr(a, field).tobytes()
+                        == getattr(b, field).tobytes())
+            if np.ndim(ts):
+                assert (as_pair(live).axis_deltas(a).tobytes()
+                        == orphan.axis_deltas(b).tobytes())
+    got = jets_at(orphan, 0.3, -0.4)
+    want = jets_at(live, 0.3, -0.4)
+    assert got.mode == "curves" and want.mode == "weierstrass"
+    for field in ("f", "f_u", "f_v", "f_uu", "f_vv"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()

@@ -11,7 +11,7 @@ from minface import gallery, quadrature
 from minface.errors import DomainError, MinfaceError, QuadratureError
 from minface.expr import eval_array, eval_value, parse
 from minface.quadrature import PrefixIntegral, adaptive_quad
-from minface.surface import QUAD_TOL, _values, as_pair, surface_from_dict
+from minface.surface import QUAD_TOL, as_pair, surface_from_dict
 
 from oracles import quad as mp_quad
 from quadrature_reference import ReferencePrefixIntegral
@@ -90,14 +90,19 @@ def test_relative_acceptance_for_large_integrands():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def _both(fn, array):
+    """One integrand: fn on a float, array on an array."""
+    return lambda t: array(t) if isinstance(t, np.ndarray) else fn(t)
+
+
 def _pointwise(fn):
-    """The array integrand of a scalar fn, one point at a time."""
-    return lambda ts: np.array([fn(t) for t in ts])
+    """fn on a float, and on an array fn one point at a time."""
+    return _both(fn, lambda ts: np.array([fn(t) for t in ts]))
 
 
 def test_prefix_integral_matches_direct():
     fn = lambda t: np.array([math.sin(3 * t), math.cosh(t), t ** 4])
-    pre = PrefixIntegral(fn, 0.5, -2.0, 2.0, _pointwise(fn), abs_tol=1e-12)
+    pre = PrefixIntegral(_pointwise(fn), 0.5, -2.0, 2.0, abs_tol=1e-12)
     for x in (-2.0, -0.3, 0.5, 0.51, 1.99):
         direct = adaptive_quad(fn, 0.5, x, abs_tol=1e-13)
         assert np.allclose(pre(x), direct, atol=5e-12)
@@ -105,7 +110,7 @@ def test_prefix_integral_matches_direct():
 
 def test_prefix_integral_is_additive():
     fn = lambda t: np.array([math.exp(t)])
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), abs_tol=1e-12)
+    pre = PrefixIntegral(_pointwise(fn), 0.0, -1.0, 1.0, abs_tol=1e-12)
     want = math.exp(0.75) - 1.0
     assert pre(0.75)[0] == pytest.approx(want, abs=1e-11)
 
@@ -140,12 +145,11 @@ def test_pair_prefixes_equal_the_scalar_march(name, rng):
     pair = as_pair(gallery.get(name))
     dom = pair.domain
     for delta, prime, t0, lo, hi in (
-            (pair.phi_delta, pair.phi_prime, pair.base[0], dom.u_min,
+            (pair.phi_delta, pair.phi_prime_value, pair.base[0], dom.u_min,
              dom.u_max),
-            (pair.psi_delta, pair.psi_prime, pair.base[1], dom.v_min,
+            (pair.psi_delta, pair.psi_prime_value, pair.base[1], dom.v_min,
              dom.v_max)):
-        ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi,
-                                      abs_tol=QUAD_TOL)
+        ref = ReferencePrefixIntegral(prime, t0, lo, hi, abs_tol=QUAD_TOL)
         ts = np.linspace(lo, hi, 25)
         _same(np.array([delta(t) for t in ts]), np.array([ref(t) for t in ts]))
         _assert_queries_equal(pair._prefix("u" if delta.__name__
@@ -160,20 +164,19 @@ def test_batched_ladder_equals_the_scalar_march_on_generated_data(kind, seed,
     # 36 segments or 37: a full chunk of 34 and a short one
     pair = as_pair(_spec_surface(kind, seed))
     dom = pair.domain
-    for prime, array, t0, lo, hi in (
-            (pair.phi_prime, pair.phi_prime_array, pair.base[0], dom.u_min,
-             dom.u_max),
-            (pair.psi_prime, pair.psi_prime_array, pair.base[1], dom.v_min,
-             dom.v_max)):
-        pre = PrefixIntegral(_values(prime), t0, lo, hi, _values(array),
-                             n_cache=36, abs_tol=QUAD_TOL)
-        ref = ReferencePrefixIntegral(_values(prime), t0, lo, hi, n_cache=36,
+    for axis, prime, t0, lo, hi in (
+            ("u", pair.phi_prime_value, pair.base[0], dom.u_min, dom.u_max),
+            ("v", pair.psi_prime_value, pair.base[1], dom.v_min, dom.v_max)):
+        # the pair's own integrand, on a shorter ladder
+        pre = PrefixIntegral(pair._prefix(axis).fn, t0, lo, hi, n_cache=36,
+                             abs_tol=QUAD_TOL)
+        ref = ReferencePrefixIntegral(prime, t0, lo, hi, n_cache=36,
                                       abs_tol=QUAD_TOL)
         _assert_queries_equal(pre, ref, lo, hi, rng, 7)
 
 
 def test_float_valued_integrand_equals_the_scalar_march(rng):
-    pre = PrefixIntegral(math.exp, 0.1, -1.0, 2.0, np.exp, n_cache=50)
+    pre = PrefixIntegral(_both(math.exp, np.exp), 0.1, -1.0, 2.0, n_cache=50)
     ref = ReferencePrefixIntegral(math.exp, 0.1, -1.0, 2.0, n_cache=50)
     _assert_queries_equal(pre, ref, -1.0, 2.0, rng, 13)
     assert pre(0.7).shape == ()
@@ -205,7 +208,7 @@ def _count_fallbacks(monkeypatch):
 def test_segments_failing_the_first_level_rerun_adaptive_quad(monkeypatch,
                                                               rng):
     calls = _count_fallbacks(monkeypatch)
-    pre = PrefixIntegral(_peak, 0.0, -1.0, 1.0, _peak_array)
+    pre = PrefixIntegral(_both(_peak, _peak_array), 0.0, -1.0, 1.0)
     ref = ReferencePrefixIntegral(_peak, 0.0, -1.0, 1.0)
     pre._build()
     # only the segments near the peaks fall back, in march order: up the
@@ -224,7 +227,7 @@ def test_a_segment_within_its_own_budget_does_not_fall_back(monkeypatch,
     # width, but within abs_tol: the whole budget of a segment on its own
     fn = lambda t: np.array([1e-3 * abs(t - 0.1234) ** 1.5])
     calls = _count_fallbacks(monkeypatch)
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn))
+    pre = PrefixIntegral(_pointwise(fn), 0.0, -1.0, 1.0)
     pre._build()
     assert calls == []
     _assert_queries_equal(pre, ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0),
@@ -239,7 +242,7 @@ def test_chunks_hold_at_most_1024_points():
         return np.stack([np.sin(ts), np.exp(ts)], axis=-1)
 
     fn = lambda t: np.array([math.sin(t), math.exp(t)])
-    pre = PrefixIntegral(fn, 0.0, -1.0, 2.0, array)
+    pre = PrefixIntegral(_both(fn, array), 0.0, -1.0, 2.0)
     pre._build()
     assert max(sizes) <= 1024
     assert sum(sizes) == 30 * (len(pre.nodes) - 1)
@@ -252,7 +255,7 @@ def test_array_query_equals_the_one_point_queries(rng):
     # every node, the base (a node whose row is zero), the ends, points
     # between nodes, and a 2-D shape, as a grid axis record has
     fn = lambda t: np.array([math.cos(3 * t), -math.exp(t), t - 0.25])
-    pre = PrefixIntegral(fn, 0.25, -1.0, 2.0, _pointwise(fn), n_cache=40)
+    pre = PrefixIntegral(_pointwise(fn), 0.25, -1.0, 2.0, n_cache=40)
     ts = np.concatenate([pre.nodes, [0.25, -1.0, 2.0], rng.uniform(-1, 2, 9),
                          np.nextafter(pre.nodes[[3, 7]], 9.0)])
     values = np.array([fn(t) for t in ts])
@@ -269,7 +272,7 @@ def test_array_query_evaluates_only_off_node_tails():
         calls.append(t)
         return np.array([math.sin(t), 1.0])
 
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), n_cache=16)
+    pre = PrefixIntegral(_pointwise(fn), 0.0, -1.0, 1.0, n_cache=16)
     pre._build()
     calls.clear()
     # the zero-length tail is the values handed in times 0.0
@@ -313,7 +316,7 @@ def test_evaluation_error_is_the_scalar_marchs():
         lambda: [fn(t) for t in points])
     want = _error(lambda: ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0)(0.0))
     assert want[0] is DomainError and "log" in want[1]
-    pre = PrefixIntegral(fn, 0.0, -1.0, 1.0, array)
+    pre = PrefixIntegral(_both(fn, array), 0.0, -1.0, 1.0)
     assert _error(lambda: pre(0.0)) == want
 
 
@@ -324,7 +327,7 @@ def test_quadrature_error_names_the_scalar_marchs_interval():
     with pytest.raises(QuadratureError) as want:
         ReferencePrefixIntegral(fn, 0.0, -1.0, 1.0, n_cache=16)(0.0)
     with pytest.raises(QuadratureError) as got:
-        PrefixIntegral(fn, 0.0, -1.0, 1.0, _pointwise(fn), n_cache=16)(0.0)
+        PrefixIntegral(_pointwise(fn), 0.0, -1.0, 1.0, n_cache=16)(0.0)
     assert got.value.interval == want.value.interval
     assert str(got.value) == str(want.value)
 

@@ -1,6 +1,7 @@
 """Surface construction: data model, evaluation, conversions, description files."""
 
 import gc
+import io
 import json
 import math
 import weakref
@@ -20,6 +21,7 @@ from minface import gallery
 from minface.curvature import AxisSamples, closed_k_samples
 from minface.expr import eval_array
 from minface.lorentz import mdot
+from minface.mesh import export_fields_csv, export_obj, sample_grid
 from minface.singular import (SingularClassification, all_reports,
                               classify_singular, trace_singular_set)
 from minface.surface import (
@@ -363,6 +365,29 @@ def test_loaded_surface_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
+def _sample_bytes(surface):
+    """The OBJ and fields CSV of an 8x6 sample, as bytes."""
+    m = sample_grid(surface, 8, 6)
+    obj, fields = io.StringIO(newline=""), io.StringIO(newline="")
+    export_obj(m, obj)
+    export_fields_csv(m, fields)
+    return obj.getvalue().encode(), fields.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", ["kchange", "enneper"])
+def test_saved_spec_samples_like_the_loaded_one(name, tmp_path):
+    # load, save, load again: a raw curve pair writes its position
+    # expressions, a data pair whose data is gone writes its g and w
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(gallery.spec_dict(name)))
+    surface = load_spec(first)
+    pair = as_pair(load_spec(first))  # its data is freed at once
+    assert pair.data is None
+    save_spec(pair, second)
+    assert json.loads(second.read_text())["mode"] == pair.source
+    assert _sample_bytes(load_spec(second)) == _sample_bytes(surface)
+
+
 def test_dict_base_defaults_to_domain_centre():
     obj = enneper_dict()
     obj["domain"] = {"u": [-1, 3], "v": [0, 1]}
@@ -428,8 +453,10 @@ def test_dict_curve_mode():
     phi = np.array([1.2, 2.0 / 3.0, 0.8])
     psi = np.array([-1.2, 2.0 / 3.0, 0.8])
     assert np.allclose(got, 0.5 * (phi + psi), atol=1e-12)
-    with pytest.raises(ModeUnsupported):
-        surface_to_dict(pair)
+    # written from the expressions the pair holds
+    back = surface_from_dict(surface_to_dict(pair))
+    assert surface_to_dict(back) == surface_to_dict(pair)
+    assert evaluate(back, 1.0, 1.0).tobytes() == got.tobytes()
 
 
 def test_dict_curve_mode_rejects_non_null():

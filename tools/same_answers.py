@@ -26,7 +26,11 @@ gallery surfaces as shipped, plus seeds 0-5 of each of the seven
   intrinsic: stdout, stderr and exit code, at the domain centre, at the
   point a quarter of the way along both axes, and at the first point of
   PARENT_REV's ``singular`` CSV where it has one (there every route exits
-  on ``SingularPoint``).
+  on ``SingularPoint``);
+* and on four descriptions that fail (``FAILING``): ``sample --fields``
+  at 4x4 and ``sample`` at 24x20, ``verify --seed 0``, ``singular --grid
+  32`` and ``curvature`` by the closed and intrinsic routes at the domain
+  centre, where the error each command names is the answer compared.
 
 Each tree's commands run in one interpreter per round, through
 ``minface.cli.main``, with stdout, stderr and the exit code recorded per
@@ -50,6 +54,21 @@ sys.path.insert(0, str(ROOT / "bench"))
 import specgen  # noqa: E402
 
 SEEDS = range(6)
+
+_SQUARE = {"u": [-1.0, 1.0], "v": [-1.0, 1.0]}
+# Descriptions every command below fails on, at loading or on evaluation.
+# The first is the pinned case: point by point the positions meet w1's
+# division at u = 0 before g1's at u = 0.5.
+FAILING = {
+    "fail-pole": {"mode": "weierstrass", "g1": "1/(u-0.5)", "g2": "v",
+                  "w1": "2+0*(1/u)", "w2": "1", "domain": _SQUARE},
+    "fail-log": {"mode": "weierstrass", "g1": "log(u+0.5)", "g2": "v",
+                 "w1": "1", "w2": "1", "domain": _SQUARE},
+    "fail-sqrt": {"mode": "weierstrass", "g1": "u", "g2": "v",
+                  "w1": "1+sqrt(u+1)", "w2": "1", "domain": _SQUARE},
+    "fail-non-null": {"mode": "curves", "phi": ["u", "2*u", "0"],
+                      "psi": ["v", "v", "0"], "domain": _SQUARE},
+}
 
 # Runs every command of a job list in one interpreter: argv[1] is the src
 # directory, argv[2] the job list (JSON); outputs go to the working
@@ -96,6 +115,28 @@ def jobs(spec_dir: Path):
                      "--out", f"{name}.64x64-obj.obj"]))
     out += [(f"gallery-{name}", ["gallery", "--name", name, "--out", "."])
             for name in specgen.GALLERY]
+    return out
+
+
+def failing_jobs(spec_dir: Path):
+    """(output stem, CLI argv) of the runs on the FAILING descriptions."""
+    out = []
+    for name in FAILING:
+        spec = str(spec_dir / f"{name}.json")
+        out += [
+            (f"{name}.sample4x4",
+             ["sample", "--spec", spec, "--nu", "4", "--nv", "4",
+              "--out", f"{name}.4x4.obj", "--fields", f"{name}.4x4.csv"]),
+            (f"{name}.sample24x20",
+             ["sample", "--spec", spec, "--nu", "24", "--nv", "20",
+              "--out", f"{name}.24x20.obj"]),
+            (f"{name}.verify", ["verify", "--spec", spec, "--seed", "0"]),
+            (f"{name}.singular", ["singular", "--spec", spec, "--grid", "32",
+                                  "--out", f"{name}.singular.csv"]),
+        ]
+        out += [(f"{name}.curvature.{method}",
+                 ["curvature", "--spec", spec, "--method", method,
+                  "--u=0.0", "--v=0.0"]) for method in ("closed", "intrinsic")]
     return out
 
 
@@ -165,11 +206,11 @@ def main(argv) -> int:
         export(argv[0], tmp / "parent")
         spec_dir = tmp / "specs"
         spec_dir.mkdir()
-        for name, doc in specs():
+        for name, doc in specs() + list(FAILING.items()):
             (spec_dir / f"{name}.json").write_text(json.dumps(doc))
         a, b = tmp / "out-parent", tmp / "out-tree"
         try:
-            run_round(tmp, "jobs", jobs(spec_dir))
+            run_round(tmp, "jobs", jobs(spec_dir) + failing_jobs(spec_dir))
             run_round(tmp, "classify", classify_jobs(spec_dir, a))
             run_round(tmp, "curvature", curvature_jobs(spec_dir, a))
         except RuntimeError as err:
@@ -183,7 +224,7 @@ def main(argv) -> int:
         for n in differ:
             print(f"differs: {n}")
         print(f"{len(names) - len(differ)} of {len(names)} files identical "
-              f"on {len(specs())} specs")
+              f"on {len(specs())} specs and {len(FAILING)} failing ones")
         return 1 if differ else 0
 
 
