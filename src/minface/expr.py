@@ -18,12 +18,12 @@ sin, cos, tan, exp, log, sqrt, atan, sinh, cosh.
 
 Each ``Expression`` is compiled once, when it is built, into one closure from
 a ``Jet3`` to a ``Jet3`` (univariate Taylor-mode differentiation through the
-``jets`` operations). ``eval_jet`` calls it; ``eval_value`` reads the value
-slot of the jet at the variable, so a value is reported only where its
-third-order jet is finite. The same compiler, given the array table of the
-same jet rules (``jets.ARRAY_OPS``), builds a second closure on first use:
-``eval_array`` evaluates the jets at every point of an array at once, each
-element bit-identical to ``eval_jet`` at that point.
+one table of jet rules, ``jets.OPS``). ``eval_jet`` calls it on a jet of
+floats; ``eval_value`` reads the value slot of the jet at the variable, so a
+value is reported only where its third-order jet is finite. ``eval_array``
+calls the same closure on a jet whose slots are arrays, evaluating every
+point at once; the rules' primitives branch on the slot they are given, so
+each element is bit-identical to ``eval_jet`` at that point.
 
 Parse errors carry the byte offset of the offending token and a hint of what
 was expected. Every evaluation error is typed: ``DomainError`` (log of a
@@ -104,8 +104,7 @@ class Expression:
     """A parsed expression plus its single variable name (None if constant).
 
     The tree is compiled once, on construction, into the jet function that
-    ``eval_jet`` and ``eval_value`` call, and on the first ``eval_array``
-    into its array counterpart.
+    ``eval_jet``, ``eval_value`` and ``eval_array`` call.
     """
 
     root: Node
@@ -113,11 +112,9 @@ class Expression:
     text: str = field(default="", compare=False)
     _jet: Callable[[Jet3], Jet3] = field(init=False, repr=False,
                                          compare=False)
-    _array_jet: Optional[Callable[[Jet3], Jet3]] = field(
-        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_jet", _compiled(self.root, jets.SCALAR_OPS))
+        object.__setattr__(self, "_jet", _compiled(self.root))
 
     def __str__(self):
         return to_string(self)
@@ -315,44 +312,40 @@ def eval_array(e: Expression, ts) -> Jet3:
     raises (typed, at the span of the failing node), naming the first
     offending element.
     """
-    if e._array_jet is None:
-        object.__setattr__(e, "_array_jet", _compiled(e.root, jets.ARRAY_OPS))
-    ts = np.array(ts, dtype=np.float64)
+    shape = np.shape(ts)  # ndmin=1: 0-d arithmetic gives numpy scalars
+    ts = np.array(ts, dtype=np.float64, ndmin=1)
     with np.errstate(all="ignore"):
-        j = e._array_jet(Jet3(ts, 1.0, 0.0, 0.0))
-    return Jet3(*(s if np.shape(s) == ts.shape else np.full(ts.shape, s)
-                  for s in j.as_tuple()))
+        j = e._jet(Jet3(ts, 1.0, 0.0, 0.0))
+    return Jet3(*(s.reshape(shape) if np.shape(s) == ts.shape
+                  else np.full(shape, s) for s in j.as_tuple()))
 
 
-def _compiled(root: Node, ops: dict) -> Callable[[Jet3], Jet3]:
+def _compiled(root: Node) -> Callable[[Jet3], Jet3]:
     """_compile, plus a finiteness test for a leaf under negations.
 
     Every other operation tests its own result, so no other tree pays.
     """
-    f, leaf = _compile(root, ops), root
+    f, leaf = _compile(root), root
     while isinstance(leaf, Neg):
         leaf = leaf.child
     if not isinstance(leaf, (Var, Num)):
         return f
-    finite = (math.isfinite if ops is jets.SCALAR_OPS
-              else lambda s: np.isfinite(s).all())
 
     def checked(x: Jet3) -> Jet3:
         j = f(x)
-        if not finite(j.value):
+        if not jets.finite(j.value):
             raise NonFiniteResult("non-finite value", span=root.span)
         return j
 
     return checked
 
 
-def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
+def _compile(node: Node) -> Callable[[Jet3], Jet3]:
     """The jet function of the tree under node, as one closure.
 
-    ops is ``jets.SCALAR_OPS`` or ``jets.ARRAY_OPS``. Literals are lifted to
-    jets here, once. Operations that can fail run through ``_located``;
-    children are evaluated outside it, so an error carries the span of the
-    innermost node that raised it.
+    Literals are lifted to jets here, once. Operations that can fail run
+    through ``_located``; children are evaluated outside it, so an error
+    carries the span of the innermost node that raised it.
     """
     if isinstance(node, Num):
         c = jets.constant(node.value)
@@ -360,11 +353,11 @@ def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
     if isinstance(node, Var):
         return lambda x: x
     if isinstance(node, Neg):
-        f, neg = _compile(node.child, ops), ops["neg"]
+        f, neg = _compile(node.child), jets.neg
         return lambda x: neg(f(x))
     if isinstance(node, BinOp):
-        f, g = _compile(node.left, ops), _compile(node.right, ops)
-        op = ops[node.op]
+        f, g = _compile(node.left), _compile(node.right)
+        op = jets.OPS[node.op]
         if node.op == "/":
             op = _located(op, node)
             return lambda x: op(f(x), g(x))
@@ -378,12 +371,12 @@ def _compile(node: Node, ops: dict) -> Callable[[Jet3], Jet3]:
 
         return binop
     if isinstance(node, Pow):
-        f, n = _compile(node.base, ops), node.exponent
-        op = _located(ops["^"], node)
+        f, n = _compile(node.base), node.exponent
+        op = _located(jets.int_pow, node)
         return lambda x: op(f(x), n)
     if isinstance(node, Call):
-        f = _compile(node.arg, ops)
-        op = _located(ops[node.fn], node)
+        f = _compile(node.arg)
+        op = _located(jets.OPS[node.fn], node)
         return lambda x: op(f(x))
     raise TypeError(f"unknown node {node!r}")
 

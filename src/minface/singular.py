@@ -28,8 +28,7 @@ from .errors import (DegenerateSingular, DivisionByZero, DomainError,
                      NonFiniteResult, NotCuspidalEdge, NotSingular,
                      RootNotConverged)
 from .expr import Expression, eval_array
-from .jets import (ARRAY_OPS, SCALAR_OPS, elementwise, float_pow,
-                   shift_derivative)
+from .jets import div, elementwise, float_pow, mul, shift_derivative
 from .lorentz import det3
 from .surface import RealWeierstrassData, Surface, normal_samples, require_data
 
@@ -80,7 +79,7 @@ def singular_data(surface: Surface, u: float, v: float) -> SingularData:
     g1, g2, w1, w2 = d.g1_jet(u), d.g2_jet(v), d.w1_jet(u), d.w2_jet(v)
     if g1.value == 0.0 or g2.value == 0.0:
         raise _vanishing_data(u, v)
-    return _singular_body(SCALAR_OPS, u, v, g1, g2, w1, w2)
+    return _singular_body(u, v, g1, g2, w1, w2)
 
 
 def _singular_arrays(d: RealWeierstrassData, u: np.ndarray,
@@ -97,13 +96,12 @@ def _singular_arrays(d: RealWeierstrassData, u: np.ndarray,
         k = int(np.argmax(zero))
         raise _vanishing_data(u[k].item(), v[k].item())
     with np.errstate(all="ignore"):
-        return _singular_body(ARRAY_OPS, u, v, g1, g2, w1, w2)
+        return _singular_body(u, v, g1, g2, w1, w2)
 
 
-def _singular_body(ops, u, v, g1, g2, w1, w2) -> SingularData:
-    """The singular data from the jets of the four data functions at (u, v),
-    with the jet operations ops: floats or arrays alike."""
-    div, mul = ops["/"], ops["*"]
+def _singular_body(u, v, g1, g2, w1, w2) -> SingularData:
+    """The singular data from the jets of the four data functions at (u, v):
+    floats or arrays alike."""
     a_jet = div(shift_derivative(g1), mul(mul(g1, g1), w1))
     b_jet = div(shift_derivative(g2), mul(mul(g2, g2), w2))
     return SingularData(

@@ -35,8 +35,8 @@ from .errors import (DataConversionDegenerate, InvalidCurveData,
                      InvalidWeierstrassData, ModeUnsupported, SingularPoint,
                      SpecFileError)
 from .expr import Expression, eval_array, eval_jet, eval_value, parse
-from .jets import (ARRAY_OPS, SCALAR_OPS, Jet3, constant, float_pow,
-                   lift_variable, shift_derivative)
+from .jets import (Jet3, add, constant, float_pow, lift_variable, mul,
+                   shift_derivative, sub)
 from .lorentz import METRIC, enorm, mdot, vec3
 from .quadrature import PrefixIntegral
 
@@ -269,17 +269,15 @@ _ONE, _MINUS_ONE = constant(1.0), constant(-1.0)
 _TWO, _MINUS_TWO = constant(2.0), constant(-2.0)
 
 
-def _phi_jets(ops, g: Jet3, w: Jet3) -> tuple:
-    """w (-1 - g^2, 1 - g^2, 2 g) with the jet operations ops."""
-    sub, mul = ops["-"], ops["*"]
+def _phi_jets(g: Jet3, w: Jet3) -> tuple:
+    """w (-1 - g^2, 1 - g^2, 2 g)."""
     gg = mul(g, g)
     return (mul(sub(_MINUS_ONE, gg), w), mul(sub(_ONE, gg), w),
             mul(mul(_TWO, g), w))
 
 
-def _psi_jets(ops, g: Jet3, w: Jet3) -> tuple:
-    """w (1 + g^2, 1 - g^2, -2 g) with the jet operations ops."""
-    add, sub, mul = ops["+"], ops["-"], ops["*"]
+def _psi_jets(g: Jet3, w: Jet3) -> tuple:
+    """w (1 + g^2, 1 - g^2, -2 g)."""
     gg = mul(g, g)
     return (mul(add(_ONE, gg), w), mul(sub(_ONE, gg), w),
             mul(mul(_MINUS_TWO, g), w))
@@ -304,11 +302,11 @@ def curve_jets(source: str, exprs: tuple, axis: str, t) -> tuple:
         return tuple(shift_derivative(j) for j in own), own
     jets = _phi_jets if axis == "u" else _psi_jets
     if one:
-        return jets(SCALAR_OPS, *own), own
-    # a non-finite element fails the array ops' finiteness test; numpy
+        return jets(*own), own
+    # a non-finite element fails the jet rules' finiteness test; numpy
     # must not warn about it first
     with np.errstate(all="ignore"):
-        return jets(ARRAY_OPS, *own), own
+        return jets(*own), own
 
 
 def _velocity(source: str, exprs: tuple, axis: str, t) -> np.ndarray:
@@ -572,6 +570,18 @@ def _parse_field(text, name: str):
         raise SpecFileError(f"field {name}: {err}") from err
 
 
+def _numbers(value, n: int, key: str) -> tuple:
+    """value, which must list exactly n numbers (not booleans), as floats."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in value)):
+        raise SpecFileError(f"{key} must be a list of {n} numbers")
+    try:
+        return tuple(float(c) for c in value)
+    except OverflowError as err:  # an integer beyond the float range
+        raise SpecFileError(f"{key}: {err}") from None
+
+
 def surface_from_dict(obj: dict) -> Surface:
     if not isinstance(obj, dict):
         raise SpecFileError("surface description must be a JSON object")
@@ -585,25 +595,16 @@ def surface_from_dict(obj: dict) -> Surface:
     missing = (allowed - _COMMON_KEYS) - set(obj) | ({"domain"} - set(obj))
     if missing:
         raise SpecFileError("missing keys: " + ", ".join(sorted(missing)))
-    dom = obj["domain"]
+    dom = obj["domain"] if isinstance(obj["domain"], dict) else {}
+    (u0, u1), (v0, v1) = (_numbers(dom.get(k), 2, f"bad domain: {k}")
+                          for k in "uv")
     try:
-        rect = Rect(float(dom["u"][0]), float(dom["u"][1]),
-                    float(dom["v"][0]), float(dom["v"][1]))
-    except (KeyError, TypeError, IndexError, ValueError) as err:
+        rect = Rect(u0, u1, v0, v1)
+    except ValueError as err:
         raise SpecFileError(f"bad domain: {err}") from err
-    base = obj.get("base", (0.5 * (rect.u_min + rect.u_max),
-                            0.5 * (rect.v_min + rect.v_max)))
-    f0 = obj.get("f0", (0.0, 0.0, 0.0))
-    try:
-        for key, value in (("base", base), ("f0", f0)):
-            if not isinstance(value, (list, tuple)):
-                raise TypeError(f"{key} must be a list of numbers")
-        base = (float(base[0]), float(base[1]))
-        f0 = np.asarray([float(c) for c in f0], dtype=float)
-        if f0.shape != (3,):
-            raise ValueError("f0 needs three components")
-    except (TypeError, IndexError, ValueError) as err:
-        raise SpecFileError(f"bad base/f0: {err}") from err
+    base = (_numbers(obj["base"], 2, "base") if "base" in obj else
+            (0.5 * (rect.u_min + rect.u_max), 0.5 * (rect.v_min + rect.v_max)))
+    f0 = np.asarray(_numbers(obj.get("f0", (0, 0, 0)), 3, "f0"))
     try:
         if mode == "weierstrass":
             return RealWeierstrassData(

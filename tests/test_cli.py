@@ -350,6 +350,14 @@ def test_bad_spec_files_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("name, key, value, field", [
     ("kchange", "phi", [1, "2/3*u^3", "u-u^5/5"], "'phi'[0]"),
     ("enneper", "base", {"a": 1}, "base"),
+    # exactly two or three JSON numbers: no extra element, no boolean, no
+    # string, and no integer beyond the float range
+    ("enneper", "base", [0, 0, 5], "base"),
+    ("enneper", "base", [True, 0], "base"),
+    ("enneper", "domain", {"u": [-3, 3, 99], "v": [-3, 3]}, "domain: u"),
+    ("enneper", "domain", {"u": ["-3", 3], "v": [-3, 3]}, "domain: u"),
+    ("enneper", "domain", {"u": [-3, 3], "v": [-3, 10**400]}, "domain: v"),
+    ("enneper", "f0", [0, False, 0], "f0"),
 ])
 def test_malformed_spec_field_exits_two_naming_it(name, key, value, field,
                                                   tmp_path, capsys):

@@ -6,7 +6,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minface.errors import (
@@ -17,9 +17,10 @@ from minface.errors import (
     NonFiniteResult,
     NonIntegerExponent,
 )
+from minface import expr
 from minface.expr import (FUNCTIONS, eval_array, eval_jet, eval_value,
                           negated, parse, to_string)
-from minface.jets import ARRAY_OPS, SCALAR_OPS, lift_variable
+from minface.jets import OPS, lift_variable
 
 from oracles import exact_jet
 
@@ -145,6 +146,7 @@ def _entry_points(e, x):
     ("-u-u", 1e308, NonFiniteResult, (0, 4)),
     ("1 - u*u + 2", 1e200, NonFiniteResult, (4, 7)),  # the innermost node
     ("u*(u+u)", 1e308, NonFiniteResult, (2, 7)),
+    ("u + log(0-1)", 1.0, DomainError, (4, 12)),  # a constant subtree
 ])
 def test_evaluation_error_is_located_at_its_node(text, x, error, span):
     messages = set()
@@ -174,9 +176,8 @@ def test_unrepresentable_jet_raises_non_finite_result(text, x):
     assert len(raised) == 1  # the same message and span on every path
 
 
-def test_scalar_and_array_tables_cover_the_same_operations():
-    assert SCALAR_OPS.keys() == ARRAY_OPS.keys()
-    assert set(FUNCTIONS) | {"+", "-", "*", "/", "^", "neg"} == set(SCALAR_OPS)
+def test_jet_table_covers_every_operation():
+    assert set(FUNCTIONS) | {"+", "-", "*", "/", "^", "neg"} == set(OPS)
 
 
 def test_jet_matches_symbolic_oracle_spot():
@@ -304,6 +305,11 @@ _FAILURES = (DomainError, DivisionByZero, NonFiniteResult)
 @given(st.recursive(_LEAVES, _nodes, max_leaves=8),
        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1,
                 max_size=6))
+# constant subtrees keep float slots inside an array evaluation
+@example("sin(2)*u", [0.5, -1.25, 3.0])
+@example("u+exp(1)", [0.5, -1.25, 3.0])
+@example("u*log(0.5)^3", [0.5, -1.25, 3.0])
+@example("u+log(0-1)", [0.5, -1.25, 3.0])
 def test_array_jets_equal_scalar_jets_bit_for_bit(text, xs):
     e = parse(text)
     scalar = []
@@ -349,6 +355,19 @@ def test_non_finite_variable_raises_non_finite_result(text, x):
                        (0, len(text)))}
     with pytest.raises(NonFiniteResult):
         eval_array(parse(text), [0.0, x])
+
+
+def test_evaluation_compiles_nothing(monkeypatch):
+    # each expression is compiled once, when it is parsed, for every path
+    e = parse("sin(u)*u^2 - 1/u")
+    calls = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda *args: calls.append(args) or compile_(*args))
+    eval_array(e, [0.5, 2.0])
+    eval_jet(e, lift_variable(0.5))
+    eval_value(e, 0.5)
+    assert calls == []
 
 
 def test_array_jets_of_a_constant_fill_the_shape():

@@ -6,9 +6,11 @@ Usage (from anywhere inside the repository):
     python3 tools/same_answers.py PARENT_REV
 
 Exports PARENT_REV with ``git archive`` into a temporary directory, then
-runs, in that tree and in this one, on 46 surface descriptions (the four
-gallery surfaces as shipped, plus seeds 0-5 of each of the seven
-``bench/specgen.py`` kinds):
+runs, in that tree and in this one, on 48 surface descriptions (the four
+gallery surfaces as shipped, seeds 0-5 of each of the seven
+``bench/specgen.py`` kinds, and two with transcendental data,
+``TRANSCENDENTAL``, whose constant subtrees such as ``sin(2)`` stay floats
+inside an array evaluation):
 
 * ``verify --seed 0``: stdout;
 * ``singular --grid 512``: the CSV and stdout;
@@ -56,16 +58,27 @@ import specgen  # noqa: E402
 SEEDS = range(6)
 
 _SQUARE = {"u": [-1.0, 1.0], "v": [-1.0, 1.0]}
-# Descriptions every command below fails on, at loading or on evaluation.
+TRANSCENDENTAL = {
+    "transc-a": {"mode": "weierstrass", "g1": "exp(0.5*u)-sin(2)",
+                 "g2": "2*atan(v)+cosh(1)", "w1": "cosh(u)",
+                 "w2": "sqrt(v+2)", "domain": _SQUARE},
+    "transc-b": {"mode": "weierstrass", "g1": "log(u+2)*u",
+                 "g2": "tan(0.5*v)+1", "w1": "1+0.5*sin(3*u)",
+                 "w2": "-exp(-v)", "domain": _SQUARE},
+}
+# Descriptions the commands below fail on, at loading or on evaluation.
 # The first is the pinned case: point by point the positions meet w1's
-# division at u = 0 before g1's at u = 0.5.
+# division at u = 0 before g1's at u = 0.5. The log and sqrt cases load,
+# because the 64-point validation grid skips u = 0, and fail where a command
+# evaluates u = 0, naming the offending element (``verify`` and
+# ``singular`` never evaluate w1 there, so fail-sqrt passes those two).
 FAILING = {
     "fail-pole": {"mode": "weierstrass", "g1": "1/(u-0.5)", "g2": "v",
                   "w1": "2+0*(1/u)", "w2": "1", "domain": _SQUARE},
-    "fail-log": {"mode": "weierstrass", "g1": "log(u+0.5)", "g2": "v",
+    "fail-log": {"mode": "weierstrass", "g1": "1+log(u^2)/9", "g2": "v",
                  "w1": "1", "w2": "1", "domain": _SQUARE},
     "fail-sqrt": {"mode": "weierstrass", "g1": "u", "g2": "v",
-                  "w1": "1+sqrt(u+1)", "w2": "1", "domain": _SQUARE},
+                  "w1": "1+sqrt(u^2)", "w2": "1", "domain": _SQUARE},
     "fail-non-null": {"mode": "curves", "phi": ["u", "2*u", "0"],
                       "psi": ["v", "v", "0"], "domain": _SQUARE},
 }
@@ -92,7 +105,7 @@ def specs():
            for kind in specgen.GALLERY]
     out += [(f"{kind}-{seed}", specgen.make_spec(kind, seed, 0, 0).doc)
             for kind in specgen.KINDS for seed in SEEDS]
-    return out
+    return out + list(TRANSCENDENTAL.items())
 
 
 def jobs(spec_dir: Path):
